@@ -29,6 +29,8 @@ def _load_circuit(path: str):
 
 
 def _cmd_simulate(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be nonnegative")
     circuit = _load_circuit(args.circuit_file)
     rng = random.Random(args.seed)
     if args.backend == "stab":

@@ -520,6 +520,8 @@ class StatOracle:
     @classmethod
     def empirical(cls, dist: Dist, tau: float, rng, *, failure_prob: float,
                   query_budget: int) -> "StatOracle":
+        if not 0 < tau < 1:
+            raise ValueError("tau must lie in (0, 1)")
         if not 0 < failure_prob < 1 or query_budget < 1:
             raise ValueError("bad failure budget")
         per_query = failure_prob / query_budget

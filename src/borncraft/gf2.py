@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 
 def _lsb(x: int) -> int:
     """Index of the lowest set bit of a nonzero int."""
@@ -194,12 +196,14 @@ class BitMatrix:
         return BitVec(self.rows, bits)
 
     def transpose(self) -> "BitMatrix":
-        data = [0] * self.cols
-        for i, r in enumerate(self.data):
-            while r:
-                j = _lsb(r)
-                data[j] |= 1 << i
-                r &= r - 1
+        # Unpack to one byte per bit, transpose, repack: O(rows) Python steps.
+        nbytes = (self.cols + 7) // 8
+        raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in self.data), np.uint8)
+        bits = np.unpackbits(raw.reshape(self.rows, nbytes), axis=1, count=self.cols,
+                             bitorder="little")
+        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        out, step = packed.tobytes(), packed.shape[1]
+        data = [int.from_bytes(out[j * step:(j + 1) * step], "little") for j in range(self.cols)]
         return BitMatrix(self.cols, self.rows, data)
 
     def mul_vec(self, v: BitVec) -> BitVec:
@@ -261,52 +265,38 @@ def in_affine_span(r: BitMatrix, t: BitVec, x: BitVec) -> bool:
     return _reduce(pivots, x.bits ^ t.bits) == 0
 
 
-def _rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form over the first `width` columns."""
-    work = list(rows)
-    pivcols: list[int] = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivcols.append(c)
-        r += 1
-    return work, pivcols
+def _reduced_echelon(rows) -> dict[int, int]:
+    """Reduced echelon form of span(rows), unique for the row space: pivot
+    column -> row, where the pivot is the row's lowest set bit and no other
+    row has that bit."""
+    pivots = _build_pivots(rows)
+    for c in sorted(pivots, reverse=True):
+        for c2, row in pivots.items():
+            if c2 < c and (row >> c) & 1:
+                pivots[c2] = row ^ pivots[c]
+    return pivots
 
 
 def solve(m: BitMatrix, b: BitVec) -> BitVec | None:
     """One solution x of m.x = b, or None if the system is inconsistent."""
     if b.n != m.rows:
         raise ValueError("dimension mismatch")
-    aug = [m.data[i] | (((b.bits >> i) & 1) << m.cols) for i in range(m.rows)]
-    work, pivcols = _rref(aug, m.cols)
-    mask = (1 << m.cols) - 1
-    for row in work:
-        if row and not (row & mask):
-            return None
-    bits = 0
-    for j, c in enumerate(pivcols):
-        if (work[j] >> m.cols) & 1:
-            bits |= 1 << c
-    return BitVec(m.cols, bits)
+    ech = _reduced_echelon(m.data[i] | (((b.bits >> i) & 1) << m.cols) for i in range(m.rows))
+    if m.cols in ech:
+        return None
+    return BitVec(m.cols, sum(1 << c for c, row in ech.items() if (row >> m.cols) & 1))
 
 
 def nullspace(m: BitMatrix) -> list[BitVec]:
-    """Basis of {v : m.v = 0}."""
-    work, pivcols = _rref(list(m.data), m.cols)
-    pivset = set(pivcols)
+    """Basis of {v : m.v = 0}, one vector per free column in increasing order."""
+    ech = _reduced_echelon(m.data)
     basis = []
     for free in range(m.cols):
-        if free in pivset:
+        if free in ech:
             continue
         bits = 1 << free
-        for j, c in enumerate(pivcols):
-            if (work[j] >> free) & 1:
+        for c, row in ech.items():
+            if (row >> free) & 1:
                 bits |= 1 << c
         basis.append(BitVec(m.cols, bits))
     return basis

@@ -144,14 +144,21 @@ def recovery_trial(n: int, m: int, k: int, rng) -> tuple[bool, float, int]:
     return success, dist_tv, oracle.queries
 
 
+def _grid_value(grid: dict, key: str):
+    try:
+        return grid[key]
+    except KeyError:
+        raise ValueError(f"grid is missing key {key!r}") from None
+
+
 def _grid_list(grid: dict, key: str) -> list:
-    v = grid[key]
+    v = _grid_value(grid, key)
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
 def _run_recovery_curve(spec: ExperimentSpec) -> list[dict]:
     grid = spec.grid
-    n = int(grid["n"])
+    n = int(_grid_value(grid, "n"))
     ms = [int(m) for m in _grid_list(grid, "m")]
     if any(not 0 <= m <= n for m in ms):
         raise InfeasibleGridError("subspace dimension out of range")
@@ -299,7 +306,7 @@ def closure_parity_trial(k: int, delta: float, rng) -> tuple[bool, int]:
 
 def _run_sq_vs_sample(spec: ExperimentSpec) -> list[dict]:
     grid = spec.grid
-    k = int(grid["k"])
+    k = int(_grid_value(grid, "k"))
     tau = float(grid.get("tau", 0.1))
     budget = int(grid.get("budget", 1000))
     delta = float(grid.get("delta", 0.0625))

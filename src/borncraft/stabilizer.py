@@ -7,154 +7,133 @@ with uniform probabilities; `support` extracts it exactly from the tableau.
 from __future__ import annotations
 
 from .circuit import Circuit
-from .gf2 import AffineSubspace, BitMatrix, BitVec, nullspace, solve, _lsb
+from .gf2 import AffineSubspace, BitMatrix, BitVec, _build_pivots, _lsb, _reduced_echelon
+
+# The tableau holds 4n^2 bits and `support` does O(n^2) row operations on
+# n-bit rows, so this cap keeps one simulation to seconds and ~100 MB.
+MAX_TABLEAU_QUBITS = 4096
 
 
 def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
     """Multiply two signed Pauli rows (Y encoded as x=z=1); the accumulated
-    i-power must come out even, which holds for any closed stabilizer group."""
-    phase = 2 * (r1 + r2)
-    overlap = (x1 | z1) & (x2 | z2)
-    while overlap:
-        q = _lsb(overlap)
-        overlap &= overlap - 1
-        ax, az = (x1 >> q) & 1, (z1 >> q) & 1
-        bx, bz = (x2 >> q) & 1, (z2 >> q) & 1
-        if ax and az:
-            phase += bz - bx
-        elif ax:
-            phase += bz * (2 * bx - 1)
-        elif az:
-            phase += bx * (1 - 2 * bz)
-    phase %= 4
+    i-power must come out even, which holds for any closed stabilizer group.
+
+    With P(x, z) = i^|x&z| X^x Z^z, moving Z^z1 past X^x2 costs (-1)^|z1&x2|,
+    so P1 P2 = i^e P(x1^x2, z1^z2) with e a sum of popcounts."""
+    phase = (2 * (r1 + r2 + (z1 & x2).bit_count()) + (x1 & z1).bit_count()
+             + (x2 & z2).bit_count() - ((x1 ^ x2) & (z1 ^ z2)).bit_count()) % 4
     if phase & 1:
         raise AssertionError("odd i-power in stabilizer product")
     return x1 ^ x2, z1 ^ z2, phase >> 1
 
 
 class StabTableau:
-    """2n generator rows (n destabilizers then n stabilizers), bit-packed.
+    """2n generator rows (n destabilizers then n stabilizers), stored by qubit.
 
     Row i is the signed Pauli (-1)^rs[i] * P(xs[i], zs[i]) with the usual
-    per-qubit encoding I=(0,0), X=(1,0), Y=(1,1), Z=(0,1). Mutation is
-    single-owner during simulation; extracted supports are immutable.
+    per-qubit encoding I=(0,0), X=(1,0), Y=(1,1), Z=(0,1). Storage is the
+    transposed bit-packed layout: bit i of ``_x[q]`` / ``_z[q]`` is the X / Z
+    bit of row i on qubit q and bit i of ``_r`` is the sign of row i, so a
+    gate updates all rows in a few big-int operations. ``xs``, ``zs`` and
+    ``rs`` are read-only row views. Mutation is single-owner during
+    simulation; extracted supports are immutable.
     """
 
-    __slots__ = ("n", "xs", "zs", "rs", "_support")
+    __slots__ = ("n", "_x", "_z", "_r", "_support")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one qubit")
+        if n > MAX_TABLEAU_QUBITS:
+            raise ValueError(f"stabilizer backend limited to {MAX_TABLEAU_QUBITS} qubits")
         self.n = n
-        self.xs = [1 << i for i in range(n)] + [0] * n
-        self.zs = [0] * n + [1 << i for i in range(n)]
-        self.rs = [0] * (2 * n)
+        self._x = [1 << q for q in range(n)]
+        self._z = [1 << (n + q) for q in range(n)]
+        self._r = 0
         self._support: AffineSubspace | None = None
 
-    def _h(self, q: int) -> None:
-        bit = 1 << q
-        for i in range(2 * self.n):
-            x, z = self.xs[i] & bit, self.zs[i] & bit
-            if x and z:
-                self.rs[i] ^= 1
-            if bool(x) != bool(z):
-                self.xs[i] ^= bit
-                self.zs[i] ^= bit
+    @property
+    def xs(self) -> tuple[int, ...]:
+        return BitMatrix(self.n, 2 * self.n, self._x).transpose().data
 
-    def _s(self, q: int) -> None:
-        bit = 1 << q
-        for i in range(2 * self.n):
-            x = self.xs[i] & bit
-            if x and (self.zs[i] & bit):
-                self.rs[i] ^= 1
-            if x:
-                self.zs[i] ^= bit
+    @property
+    def zs(self) -> tuple[int, ...]:
+        return BitMatrix(self.n, 2 * self.n, self._z).transpose().data
 
-    def _cnot(self, control: int, target: int) -> None:
-        for i in range(2 * self.n):
-            xa = (self.xs[i] >> control) & 1
-            zb = (self.zs[i] >> target) & 1
-            if xa & zb:
-                xb = (self.xs[i] >> target) & 1
-                za = (self.zs[i] >> control) & 1
-                self.rs[i] ^= xb ^ za ^ 1
-            self.xs[i] ^= xa << target
-            self.zs[i] ^= zb << control
-
-    def _swap(self, a: int, b: int) -> None:
-        for vec in (self.xs, self.zs):
-            for i in range(2 * self.n):
-                d = ((vec[i] >> a) ^ (vec[i] >> b)) & 1
-                vec[i] ^= (d << a) | (d << b)
+    @property
+    def rs(self) -> tuple[int, ...]:
+        return tuple((self._r >> i) & 1 for i in range(2 * self.n))
 
     def apply(self, gate) -> None:
+        """Aaronson-Gottesman update of every row at once."""
         self._support = None
+        X, Z, a = self._x, self._z, gate.qubits[0]
         if gate.kind == "H":
-            self._h(gate.qubits[0])
+            self._r ^= X[a] & Z[a]
+            X[a], Z[a] = Z[a], X[a]
         elif gate.kind == "S":
-            self._s(gate.qubits[0])
+            self._r ^= X[a] & Z[a]
+            Z[a] ^= X[a]
         elif gate.kind == "CNOT":
-            self._cnot(gate.qubits[0], gate.qubits[1])
+            b = gate.qubits[1]
+            self._r ^= X[a] & Z[b] & ~(X[b] ^ Z[a])
+            X[b] ^= X[a]
+            Z[a] ^= Z[b]
         elif gate.kind == "SWAP":
-            self._swap(gate.qubits[0], gate.qubits[1])
+            b = gate.qubits[1]
+            X[a], X[b] = X[b], X[a]
+            Z[a], Z[b] = Z[b], Z[a]
         else:
             raise ValueError(f"non-Clifford gate {gate.kind} cannot be applied to a tableau")
 
-    def _commutes(self, i: int, j: int) -> bool:
-        sym = (self.xs[i] & self.zs[j]).bit_count() + (self.zs[i] & self.xs[j]).bit_count()
-        return sym % 2 == 0
-
     def validate(self) -> None:
-        """Check the tableau group structure; raises on violation."""
+        """Check the group structure: every pair of rows commutes except each
+        destabilizer with its own stabilizer, which also makes the 2n rows
+        independent. Raises on violation."""
         n = self.n
-        for i in range(n, 2 * n):
+        xs, zs = self.xs, self.zs
+        for i in range(2 * n):
             for j in range(i + 1, 2 * n):
-                if not self._commutes(i, j):
-                    raise AssertionError(f"stabilizer rows {i - n},{j - n} anticommute")
-        for i in range(n):
-            for j in range(n, 2 * n):
-                expect = j - n == i
-                if self._commutes(i, j) == expect:
-                    raise AssertionError(f"destabilizer {i} pairing broken at {j - n}")
-        rows = [self.xs[i] | (self.zs[i] << n) for i in range(2 * n)]
-        m = BitMatrix(2 * n, 2 * n, rows)
-        from .gf2 import rank
-
-        if rank(m) != 2 * n:
-            raise AssertionError("tableau rows are not full rank")
+                anti = ((xs[i] & zs[j]).bit_count() + (zs[i] & xs[j]).bit_count()) & 1
+                if anti != (j == i + n):
+                    raise AssertionError(f"rows {i},{j} break the symplectic pairing")
 
     def support(self) -> AffineSubspace:
         """Affine subspace A with Born probability 2^-dim(A) on A, 0 elsewhere.
 
         Z-only elements of the stabilizer group pin affine constraints
-        <z, x> = sign bit; the constraint system's solution set is A.
+        <z, x> = sign bit; the constraint system's solution set is A. One
+        elimination of the stabilizer rows, X part first, finds the products
+        whose X parts cancel; their signed Z parts are brought once to the
+        unique reduced echelon form, which gives the shift and the basis.
         """
         if self._support is not None:
             return self._support
         n = self.n
-        stab_x = self.xs[n:]
-        stab_z = self.zs[n:]
-        stab_r = self.rs[n:]
-        x_combos = BitMatrix(n, n, stab_x).transpose()
+        xs = BitMatrix(n, n, [x >> n for x in self._x]).transpose().data
+        zs = BitMatrix(n, n, [z >> n for z in self._z]).transpose().data
+        # Bits n.. of a row record which stabilizers were multiplied into it,
+        # so a pivot past bit n-1 is a product whose X parts cancel.
         constraints: list[int] = []
-        rhs = 0
-        for combo in nullspace(x_combos):
+        for c, row in _build_pivots(xs[i] | (1 << (n + i)) for i in range(n)).items():
+            if c < n:
+                continue
             x, z, r = 0, 0, 0
-            sel = combo.bits
+            sel = row >> n
             while sel:
-                i = _lsb(sel)
+                j = _lsb(sel)
                 sel &= sel - 1
-                x, z, r = _pauli_mul(x, z, r, stab_x[i], stab_z[i], stab_r[i])
-            if x:
-                raise AssertionError("kernel combination has a residual X part")
-            rhs |= r << len(constraints)
-            constraints.append(z)
-        cmat = BitMatrix(len(constraints), n, constraints)
-        shift = solve(cmat, BitVec(len(constraints), rhs))
-        if shift is None:
+                x, z, r = _pauli_mul(x, z, r, xs[j], zs[j], (self._r >> (n + j)) & 1)
+            constraints.append(z | (r << n))
+        # Rows z | sign << n keyed by pivot column; a pivot at n means 0 = 1.
+        echelon = _reduced_echelon(constraints)
+        if n in echelon:
             raise AssertionError("inconsistent support constraints")
-        basis = nullspace(cmat)
-        self._support = AffineSubspace(BitMatrix.from_cols(basis, rows=n), shift)
+        # Column f < n of the echelon lists the pivots that free variable f
+        # feeds; column n holds the signs, which are the shift.
+        cols = BitMatrix(n, n + 1, [echelon.get(c, 0) for c in range(n)]).transpose().data
+        basis = [cols[f] | (1 << f) for f in range(n) if f not in echelon]
+        self._support = AffineSubspace._from_cols(n, basis, cols[n])
         return self._support
 
     def sample(self, rng) -> BitVec:

@@ -139,3 +139,31 @@ def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["learn", "closure", "--circuit", "x.qc"])  # missing --delta
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{path}"],
+    ["simulate", "{path}", "--samples", "1"],
+    ["learn", "closure", "--circuit", "{path}", "--delta", "0.01"],
+])
+def test_tableau_qubit_cap_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "huge.qc"
+    path.write_text("qubits 3000000\nH 0\n")
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "limited to" in err[0]
+
+
+@pytest.mark.parametrize("backend", ["stab", "sv"])
+def test_simulate_negative_samples_exit_2(parity_file, capsys, backend):
+    assert main(["simulate", parity_file, "--backend", backend, "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
+
+
+def test_experiment_empty_grid_exit_2(capsys):
+    assert main(["experiment", "recovery-curve", "--grid", "{}", "--trials", "1"]) == 2
+    assert "missing key 'n'" in capsys.readouterr().err

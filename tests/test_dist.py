@@ -394,6 +394,13 @@ def test_empirical_mode_sample_count_formula():
     assert got == pytest.approx(1.0, abs=0.2)
 
 
+def test_empirical_rejects_bad_tau_before_dividing():
+    for tau in (0, 0.0, -0.1, 1.0):
+        with pytest.raises(ValueError, match="tau"):
+            StatOracle.empirical(uniform(2), tau, random.Random(0),
+                                 failure_prob=0.01, query_budget=5)
+
+
 def test_boolean_function_query_correspondence():
     # querying the paired distribution equals averaging phi(x, f(x)) over the base
     rng = random.Random(13)

@@ -40,6 +40,21 @@ def test_infeasible_grids():
         run(ExperimentSpec("opnorm-tv", {"n": 11}, 5, 0))
 
 
+def test_missing_grid_keys_are_value_errors():
+    cases = [
+        ("recovery-curve", {}),
+        ("recovery-curve", {"n": 6, "m": 2}),
+        ("t-noise", {}),
+        ("parity-tv", {}),
+        ("sq-vs-sample", {}),
+        ("opnorm-tv", {}),
+    ]
+    for name, grid in cases:
+        with pytest.raises(ValueError, match="missing key") as exc:
+            run(ExperimentSpec(name, grid, 1, 0))
+        assert not isinstance(exc.value, InfeasibleGridError)
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(50, 100)
     assert lo == pytest.approx(0.404, abs=0.005)

@@ -6,10 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borncraft.circuit import Circuit, Gate, parity_circuit, random_circuit
-from borncraft.gf2 import BitVec
-from borncraft.stabilizer import StabTableau, _pauli_mul, simulate_clifford, support
+from borncraft.gf2 import AffineSubspace, BitMatrix, BitVec, nullspace, solve
+from borncraft.stabilizer import (
+    MAX_TABLEAU_QUBITS,
+    StabTableau,
+    _pauli_mul,
+    simulate_clifford,
+    support,
+)
 from borncraft.statevector import sv_distribution
 
 # 99.9% chi-square quantiles by degrees of freedom, for uniformity checks.
@@ -201,3 +208,140 @@ def test_sampling_parity_invariant():
     for _ in range(100_000):
         x = tab.sample(rng)
         assert x[2] == x[0] ^ x[1]
+
+
+@st.composite
+def clifford_circuits(draw, max_qubits=8, max_gates=30):
+    n = draw(st.integers(1, max_qubits))
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(("H", "S", "CNOT", "SWAP") if n > 1 else ("H", "S")))
+        if kind in ("H", "S"):
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),)))
+        else:
+            pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            gates.append(Gate(kind, tuple(pair)))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clifford_circuits())
+def test_tableau_support_matches_sv_property(c):
+    tab = StabTableau(c.n)
+    for g in c.gates():
+        tab.apply(g)
+        tab.validate()
+    assert np.abs(sv_distribution(c).probs - support_probs(tab)).max() < 1e-12
+
+
+def _x_gate(q):
+    # H.S.S.H = H.Z.H = X
+    return [Gate.h(q), Gate.s(q), Gate.s(q), Gate.h(q)]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130, 300])
+def test_support_closed_form_across_word_boundaries(n):
+    """H on half the qubits, then linear gates and X flips: the support is
+    span(H columns pushed through the CNOT/SWAP network) + the flipped bits."""
+    rng = random.Random(n)
+    hs = rng.sample(range(n), n // 2)
+    gates = [Gate.h(q) for q in hs]
+    vecs = [1 << q for q in hs] + [0]  # basis columns, then the shift
+    boundary_pairs = [(b - 1, b) for b in (64, 128, 256) if b < n]
+    for step in range(6 * n):
+        if step < len(boundary_pairs):
+            a, b = boundary_pairs[step]
+            kind = "CNOT"
+        else:
+            a, b = rng.sample(range(n), 2)
+            kind = rng.choice(("CNOT", "CNOT", "SWAP", "S", "X"))
+        if kind == "CNOT":
+            gates.append(Gate.cnot(a, b))
+            vecs = [v ^ (((v >> a) & 1) << b) for v in vecs]
+        elif kind == "SWAP":
+            gates.append(Gate.swap(a, b))
+            vecs = [v ^ ((((v >> a) ^ (v >> b)) & 1) * ((1 << a) | (1 << b))) for v in vecs]
+        elif kind == "S":
+            gates.append(Gate.s(a))
+        else:
+            gates += _x_gate(a)
+            vecs[-1] ^= 1 << a
+    tab = simulate_clifford(Circuit(n, gates))
+    tab.validate()
+    sub = tab.support()
+    expected = AffineSubspace(
+        BitMatrix.from_cols([BitVec(n, v) for v in vecs[:-1]], rows=n), BitVec(n, vecs[-1])
+    )
+    assert sub.dim == n // 2
+    assert sub.same_set(expected)
+    assert vecs[-1] != 0  # the X flips reached the shift
+
+
+def _reference_rows(c):
+    """Per-row Aaronson-Gottesman updates, the loops the packed kernels replace."""
+    n = c.n
+    xs = [1 << i for i in range(n)] + [0] * n
+    zs = [0] * n + [1 << i for i in range(n)]
+    rs = [0] * (2 * n)
+    for g in c.gates():
+        a = g.qubits[0]
+        b = g.qubits[-1]
+        for i in range(2 * n):
+            xa, za = (xs[i] >> a) & 1, (zs[i] >> a) & 1
+            xb, zb = (xs[i] >> b) & 1, (zs[i] >> b) & 1
+            if g.kind == "H":
+                rs[i] ^= xa & za
+                xs[i] ^= (xa ^ za) << a
+                zs[i] ^= (xa ^ za) << a
+            elif g.kind == "S":
+                rs[i] ^= xa & za
+                zs[i] ^= xa << a
+            elif g.kind == "CNOT":
+                rs[i] ^= xa & zb & (xb ^ za ^ 1)
+                xs[i] ^= xa << b
+                zs[i] ^= zb << a
+            else:
+                xs[i] ^= (xa ^ xb) * ((1 << a) | (1 << b))
+                zs[i] ^= (za ^ zb) * ((1 << a) | (1 << b))
+    return tuple(xs), tuple(zs), tuple(rs)
+
+
+def _reference_support(xs, zs, rs, n):
+    """Kernel of the stabilizer X part, one product per kernel vector, then
+    solve and nullspace of the signed Z-only constraints."""
+    constraints, rhs = [], 0
+    for combo in nullspace(BitMatrix(n, n, xs[n:]).transpose()):
+        x, z, r = 0, 0, 0
+        for i in range(n):
+            if combo[i]:
+                x, z, r = _pauli_mul(x, z, r, xs[n + i], zs[n + i], rs[n + i])
+        assert x == 0
+        rhs |= r << len(constraints)
+        constraints.append(z)
+    cmat = BitMatrix(len(constraints), n, constraints)
+    return nullspace(cmat), solve(cmat, BitVec(len(constraints), rhs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 63, 64, 65, 130])
+def test_packed_tableau_and_support_match_row_reference(n):
+    rng = random.Random(1000 + n)
+    for _ in range(3):
+        extra = []
+        for _ in range(n if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            extra.append(Gate(rng.choice(("CNOT", "SWAP")), (a, b)))
+        c = Circuit(n, list(random_circuit(rng, n, rng.randrange(1, 8)).gates()) + extra
+                    + [Gate.h(q) for q in rng.sample(range(n), n // 3)])
+        tab = simulate_clifford(c)
+        xs, zs, rs = _reference_rows(c)
+        assert (tab.xs, tab.zs, tab.rs) == (xs, zs, rs)
+        basis, shift = _reference_support(xs, zs, rs, n)
+        sub = tab.support()
+        # same columns in the same order and the same shift, not just the same set
+        assert sub.basis == BitMatrix.from_cols(basis, rows=n)
+        assert sub.shift == shift
+
+
+def test_tableau_qubit_cap():
+    with pytest.raises(ValueError, match="limited to"):
+        StabTableau(MAX_TABLEAU_QUBITS + 1)
