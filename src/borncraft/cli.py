@@ -19,13 +19,16 @@ from .statevector import sv_distribution
 from .circuit import parse_circuit
 
 
-def _load_circuit(path: str):
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            return f.read()
     except OSError as e:
-        raise ValueError(f"cannot read circuit file: {e}") from None
-    return parse_circuit(text)
+        raise ValueError(f"cannot read {what} file: {e}") from None
+
+
+def _load_circuit(path: str):
+    return parse_circuit(_read_text(path, "circuit"))
 
 
 def _cmd_simulate(args) -> int:
@@ -90,8 +93,7 @@ def _cmd_learn_closure(args) -> int:
 def _cmd_experiment(args) -> int:
     raw = args.grid
     if raw.startswith("@"):
-        with open(raw[1:], encoding="utf-8") as f:
-            raw = f.read()
+        raw = _read_text(raw[1:], "grid")
     try:
         grid = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -102,8 +104,11 @@ def _cmd_experiment(args) -> int:
     result = run(spec)
     text = result.to_csv() if args.format == "csv" else result.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write output file: {e}") from None
     else:
         sys.stdout.write(text)
     return 0

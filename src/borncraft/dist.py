@@ -402,9 +402,17 @@ def dist_to_json(d: Dist) -> dict:
     raise ValueError(f"cannot serialize {type(d).__name__}")
 
 
+class _Fields(dict):
+    """A dist_v1 object whose missing fields raise ValueError, not KeyError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{DIST_SCHEMA} object is missing field {key!r}")
+
+
 def dist_from_json(obj: dict) -> Dist:
     if obj.get("schema") != DIST_SCHEMA:
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
+    obj = _Fields(obj)
     kind = obj["kind"]
     if kind == "affine_uniform":
         n, dim = obj["n"], obj["dim"]

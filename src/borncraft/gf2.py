@@ -178,9 +178,11 @@ class BitMatrix:
             raise ValueError("columns have mixed lengths")
         data = [0] * rows
         for j, v in enumerate(vs):
-            for i in range(rows):
-                if (v.bits >> i) & 1:
-                    data[i] |= 1 << j
+            bits = v.bits
+            while bits:
+                low = bits & -bits
+                data[low.bit_length() - 1] |= 1 << j
+                bits ^= low
         return cls(rows, len(vs), data)
 
     def row(self, i: int) -> BitVec:

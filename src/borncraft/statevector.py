@@ -7,8 +7,6 @@ convention: bit q of the integer index is the state of qubit q.
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from .circuit import Circuit
@@ -98,7 +96,7 @@ class DenseDist:
             raise ValueError("probabilities do not sum to 1")
         self.n = n
         self.probs = np.clip(probs, 0.0, None)
-        self._cum: list[float] | None = None
+        self._cum: np.ndarray | None = None
 
     def prob(self, x: BitVec) -> float:
         if x.n != self.n:
@@ -107,9 +105,11 @@ class DenseDist:
 
     def sample(self, rng) -> BitVec:
         if self._cum is None:
-            self._cum = list(np.cumsum(self.probs))
-        idx = bisect.bisect_right(self._cum, rng.random())
-        return BitVec(self.n, min(idx, (1 << self.n) - 1))
+            self._cum = np.cumsum(self.probs)
+            # The float sum can end below 1: draws past it go to the last
+            # positive outcome, never to a zero-probability one after it.
+            self._cum[np.flatnonzero(self.probs)[-1]:] = np.inf
+        return BitVec(self.n, int(self._cum.searchsorted(rng.random(), side="right")))
 
 
 def run_state(c: Circuit) -> StateVector:

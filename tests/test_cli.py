@@ -167,3 +167,26 @@ def test_simulate_negative_samples_exit_2(parity_file, capsys, backend):
 def test_experiment_empty_grid_exit_2(capsys):
     assert main(["experiment", "recovery-curve", "--grid", "{}", "--trials", "1"]) == 2
     assert "missing key 'n'" in capsys.readouterr().err
+
+
+def test_experiment_missing_grid_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main([
+        "experiment", "parity-tv", "--grid", f"@{missing}", "--trials", "1",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "grid file" in err[0]
+
+
+def test_experiment_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "x.json"
+    assert main([
+        "experiment", "parity-tv", "--grid", '{"k": 2}', "--trials", "1",
+        "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "output file" in err[0]

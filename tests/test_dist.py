@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borncraft.circuit import T_NOISE_RATE, depth, parity_circuit
 from borncraft.dist import (
@@ -321,6 +322,69 @@ def test_json_eta_zero_stays_exact():
     back = dist_from_json(dist_to_json(d))
     assert back.eval(BitVec(3, 0)) == Fraction(1, 4)
     assert isinstance(back.eval(BitVec(3, 0)), Fraction)
+
+
+@pytest.mark.parametrize("obj,field", [
+    ({"kind": "affine_uniform"}, "n"),
+    ({"kind": "affine_uniform", "n": 2, "dim": 0, "basis_rows": ["0", "0"]}, "shift"),
+    ({"kind": "noisy_parity", "k": 2, "s": "1"}, "eta"),
+    ({"kind": "function", "table": "1"}, "base"),
+    ({"kind": "point_mass", "value": "1"}, "n"),
+    ({"kind": "product"}, "parts"),
+    ({"kind": "dense", "n": 1}, "probs"),
+    ({}, "kind"),
+])
+def test_json_missing_field_names_it(obj, field):
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        dist_from_json({"schema": "dist_v1", **obj})
+
+
+@st.composite
+def serializable_dists(draw, depth=2):
+    """Every kind dist_to_json writes; function bases and product parts nest."""
+    kinds = ["affine_uniform", "noisy_parity", "point_mass", "dense"]
+    if depth:
+        kinds += ["function", "product"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "affine_uniform":
+        n = draw(st.integers(1, 6))
+        rng = draw(st.randoms(use_true_random=False))
+        return AffineUniform(AffineSubspace.random(rng, n, draw(st.integers(0, n))))
+    if kind == "noisy_parity":
+        k = draw(st.integers(1, 5))
+        eta = draw(st.one_of(
+            st.just(0),
+            st.fractions(0, 1, max_denominator=64).filter(lambda f: f < 1),
+            st.floats(0, 1, exclude_max=True),
+        ))
+        return NoisyParity(BitVec(k, draw(st.integers(0, (1 << k) - 1))), eta)
+    if kind == "point_mass":
+        n = draw(st.integers(1, 6))
+        return PointMass(BitVec(n, draw(st.integers(0, (1 << n) - 1))))
+    if kind == "dense":
+        n = draw(st.integers(1, 4))
+        weights = draw(st.lists(st.floats(0, 10), min_size=1 << n, max_size=1 << n)
+                       .filter(lambda w: sum(w) > 0))
+        return Dense(DenseDist(n, np.array(weights) / sum(weights)))
+    if kind == "function":
+        base = draw(serializable_dists(depth=0))
+        table = draw(st.lists(st.integers(0, 1), min_size=1 << base.n, max_size=1 << base.n))
+        return FunctionDist(table, base)
+    parts = draw(st.lists(serializable_dists(depth=depth - 1), min_size=1, max_size=3))
+    return Product(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(serializable_dists(), st.randoms(use_true_random=False))
+def test_json_roundtrip_property(d, rng):
+    blob = json.dumps(dist_to_json(d), sort_keys=True)
+    back = dist_from_json(json.loads(blob))
+    assert type(back) is type(d)
+    assert back.n == d.n
+    assert json.dumps(dist_to_json(back), sort_keys=True) == blob
+    for _ in range(8):
+        x = BitVec.random(rng, d.n)
+        assert back.eval(x) == d.eval(x)
 
 
 # --- oracles ---------------------------------------------------------------------

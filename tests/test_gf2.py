@@ -209,6 +209,24 @@ def test_transpose_and_cols():
         assert t.transpose() == m
 
 
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+def test_from_cols_matches_entrywise_definition(rows):
+    rng = random.Random(rows)
+    for ncols in (0, 1, 7, rows, rows + 3):
+        # dense random columns plus sparse ones with a single or no set bit
+        vs = [BitVec.random(rng, rows) for _ in range(ncols)]
+        vs += [BitVec(rows, 1 << rng.randrange(rows)), BitVec.zeros(rows),
+               BitVec.ones(rows)]
+        m = BitMatrix.from_cols(vs, rows=rows)
+        expected = [0] * rows
+        for j, v in enumerate(vs):
+            for i in range(rows):
+                if v[i]:
+                    expected[i] |= 1 << j
+        assert (m.rows, m.cols) == (rows, len(vs))
+        assert m.data == tuple(expected)
+
+
 # --- AffineSubspace -----------------------------------------------------------
 
 

@@ -3,9 +3,12 @@ baseline, and the brute-force noisy-parity solver."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borncraft.circuit import T_NOISE_RATE, parity_circuit, random_circuit
 from borncraft.dist import AffineUniform, NoisyParity, SampleOracle, StatOracle, tv
@@ -255,3 +258,71 @@ def test_lpn_noise_rate_sanity():
     sigma = math.sqrt(2000 * 0.25)
     gap = 2000 * (1 - T_NOISE_RATE) - 2000 * 0.5
     assert gap / sigma > 25
+
+
+# Reference oracle: the direct agreement-matrix solver, which scores every
+# candidate against every sample in chunks of 4096 candidates.
+_PARITY8 = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
+
+
+def lpn_chunked_reference(samples, k):
+    if not samples:
+        return BitVec.zeros(k)
+    xs = np.array([x.bits for x, _ in samples], dtype=np.uint32)
+    ys = np.array([y & 1 for _, y in samples], dtype=np.uint8)
+    best_count = -1
+    best_vec = BitVec.zeros(k)
+    total = 1 << k
+    chunk = 4096
+    for lo in range(0, total, chunk):
+        cands = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
+        anded = cands[:, None] & xs[None, :]
+        folded = anded ^ (anded >> np.uint32(16))
+        folded ^= folded >> np.uint32(8)
+        pred = _PARITY8[folded & np.uint32(0xFF)]
+        agree = (pred == ys[None, :]).sum(axis=1)
+        top = int(agree.max())
+        if top < best_count:
+            continue
+        ties = cands[agree == top]
+        cand = min((BitVec(k, int(c)) for c in ties), key=BitVec.to_str)
+        if top > best_count or cand.to_str() < best_vec.to_str():
+            best_count, best_vec = top, cand
+    return best_vec
+
+
+@st.composite
+def lpn_instances(draw, max_bits=12, max_samples=64):
+    """Small LPN sample sets with repeated x, the all-zero x, and labels that
+    are not 0/1 (only y & 1 counts)."""
+    k = draw(st.integers(1, max_bits))
+    any_x = st.integers(0, (1 << k) - 1)
+    pool = draw(st.lists(any_x, min_size=1, max_size=4)) + [0]
+    xs = draw(st.lists(st.one_of(st.sampled_from(pool), any_x), max_size=max_samples))
+    ys = draw(st.lists(st.integers(-3, 3), min_size=len(xs), max_size=len(xs)))
+    return k, [(BitVec(k, x), y) for x, y in zip(xs, ys)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lpn_instances())
+def test_lpn_matches_chunked_reference(instance):
+    k, samples = instance
+    assert lpn_brute_force(samples, k) == lpn_chunked_reference(samples, k)
+
+
+def test_lpn_all_tie_at_k16_is_fast():
+    # one sample at x = 0 ties all 2^16 candidates; the zero vector wins
+    start = time.perf_counter()
+    assert lpn_brute_force([(BitVec.zeros(16), 0)], 16) == BitVec.zeros(16)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lpn_noisy_recovery_at_k20():
+    k = 20
+    rng = random.Random(2020)
+    s = BitVec.random(rng, k)
+    samples = []
+    for _ in range(400):
+        x = BitVec.random(rng, k)
+        samples.append((x, x.dot(s) ^ (rng.random() < T_NOISE_RATE)))
+    assert lpn_brute_force(samples, k) == s

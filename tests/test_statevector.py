@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borncraft.circuit import (
     Circuit,
@@ -166,6 +167,46 @@ def test_dense_dist_validation_and_sampling():
     draws = [dd.sample(rng).bits for _ in range(2000)]
     assert set(draws) <= {0, 1}
     assert 800 < sum(1 for d in draws if d == 0) < 1200
+
+
+class FixedDraws:
+    """Stands in for random.Random: random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_dense_sample_past_cumsum_end_skips_zero_mass():
+    # the float cumsum ends at 1 - 5e-11; a draw above it must not land on
+    # index 3, whose probability is 0
+    dd = DenseDist(2, np.array([0.3, 0.7 - 5e-11, 0.0, 0.0]))
+    assert dd.sample(FixedDraws([0.99999999999])).bits == 1
+    assert dd.sample(FixedDraws([0.0])).bits == 0
+    assert dd.sample(FixedDraws([0.3])).bits == 1
+
+
+@st.composite
+def dense_tables(draw):
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.1, 1.0, 3.0]),
+                            min_size=1 << n, max_size=1 << n).filter(any))
+    probs = np.array(weights) / sum(weights)
+    return n, probs
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_tables(),
+       st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                          st.just(math.nextafter(1.0, 0.0))), min_size=1, max_size=20))
+def test_dense_samples_land_in_support(table, us):
+    n, probs = table
+    dd = DenseDist(n, probs)
+    rng = FixedDraws(us)
+    for _ in us:
+        assert probs[dd.sample(rng).bits] > 0
 
 
 def test_qubit_guards():
