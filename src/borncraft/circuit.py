@@ -63,14 +63,17 @@ def _pack(n: int, gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     layers: list[list[Gate]] = []
     avail = [0] * n
     for g in gates:
-        for q in g.qubits:
-            if q >= n:
-                raise ValueError(f"qubit {q} out of range for {n}-qubit circuit")
-        level = max(avail[q] for q in g.qubits)
+        qs = g.qubits
+        # Gate rejects negative indices, so only q >= n can fail the lookup.
+        try:
+            level = avail[qs[0]] if len(qs) == 1 else max(avail[qs[0]], avail[qs[1]])
+        except IndexError:
+            q = next(q for q in qs if q >= n)
+            raise ValueError(f"qubit {q} out of range for {n}-qubit circuit") from None
         if level == len(layers):
             layers.append([])
         layers[level].append(g)
-        for q in g.qubits:
+        for q in qs:
             avail[q] = level + 1
     return tuple(tuple(layer) for layer in layers)
 
@@ -201,9 +204,16 @@ def parse_circuit(text: str) -> Circuit:
     `#` comments; layers are inferred by greedy packing."""
     n: int | None = None
     gates: list[Gate] = []
+    # Gate lines repeat (a 64-qubit file has a few hundred distinct ones), and
+    # a Gate is immutable, so each distinct line is parsed and checked once.
+    seen: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        gate = seen.get(line)
+        if gate is not None:
+            gates.append(gate)
             continue
         parts = line.split()
         if n is None:
@@ -227,9 +237,10 @@ def parse_circuit(text: str) -> Circuit:
         except ValueError:
             raise ValueError(f"line {lineno}: bad qubit index") from None
         try:
-            gates.append(Gate(kind, qubits))
+            gate = seen[line] = Gate(kind, qubits)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
+        gates.append(gate)
     if n is None:
         raise ValueError("missing 'qubits N' header")
     return Circuit(n, gates)

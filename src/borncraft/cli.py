@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -101,17 +102,32 @@ def _cmd_experiment(args) -> int:
     if not isinstance(grid, dict):
         raise ValueError("grid must be a JSON object")
     spec = ExperimentSpec(args.name, grid, args.trials, args.seed)
-    result = run(spec)
-    text = result.to_csv() if args.format == "csv" else result.to_json()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as e:
+    if not args.out:
+        sys.stdout.write(_render(run(spec), args.format))
+        return 0
+    # Check --out before the run, so a bad path fails before any work. Append
+    # mode truncates nothing, and a file this call created is removed again
+    # if the run or the write fails.
+    created = not os.path.exists(args.out)
+    try:
+        open(args.out, "a", encoding="utf-8").close()
+    except OSError as e:
+        raise ValueError(f"cannot write output file: {e}") from None
+    try:
+        text = _render(run(spec), args.format)
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    except BaseException as e:
+        if created:
+            os.remove(args.out)
+        if isinstance(e, OSError):
             raise ValueError(f"cannot write output file: {e}") from None
-    else:
-        sys.stdout.write(text)
+        raise
     return 0
+
+
+def _render(result, fmt: str) -> str:
+    return result.to_csv() if fmt == "csv" else result.to_json()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -246,15 +246,12 @@ class Dense(Dist):
 
 
 def _tv_affine(p: AffineUniform, q: AffineUniform) -> Fraction:
-    a, b = p.subspace, q.subspace
-    inter = a.intersection_dim(b)
+    # With |A| >= |B| and c common points, TV is
+    # (c (1/|B| - 1/|A|) + (|A| - c)/|A| + (|B| - c)/|B|) / 2 = 1 - c/|A|.
+    inter = p.subspace.intersection_dim(q.subspace)
     if inter is None:
         return Fraction(1)
-    pa = Fraction(1, a.size)
-    pb = Fraction(1, b.size)
-    common = 1 << inter
-    total = common * abs(pa - pb) + (a.size - common) * pa + (b.size - common) * pb
-    return total / 2
+    return 1 - (1 << inter) * min(p._mass, q._mass)
 
 
 def tv(p: Dist, q: Dist):
@@ -319,9 +316,11 @@ def marginalize(d: Dist, k: int) -> Dist:
     if isinstance(d, AffineUniform):
         sub = d.subspace
         cols = [BitVec(k, c) for c in sub._cols]
-        idx = max_independent_subset(cols)
-        basis = BitMatrix.from_cols([cols[i] for i in idx], rows=k)
-        return AffineUniform(AffineSubspace(basis, sub.shift.take(k)))
+        pivots: dict[int, int] = {}
+        idx = max_independent_subset(cols, pivots)
+        return AffineUniform(
+            AffineSubspace._from_cols(k, [cols[i].bits for i in idx], sub.shift.bits, pivots)
+        )
     if isinstance(d, NoisyParity):
         return uniform(k)
     if isinstance(d, FunctionDist):
@@ -353,12 +352,13 @@ def _eta_from_json(v):
 def dist_to_json(d: Dist) -> dict:
     if isinstance(d, AffineUniform):
         sub = d.subspace
+        basis = sub.basis
         return {
             "schema": DIST_SCHEMA,
             "kind": "affine_uniform",
             "n": sub.n,
             "dim": sub.dim,
-            "basis_rows": [sub.basis.row(i).to_hex() for i in range(sub.n)],
+            "basis_rows": [basis.row(i).to_hex() for i in range(sub.n)],
             "shift": sub.shift.to_hex(),
         }
     if isinstance(d, NoisyParity):
@@ -402,37 +402,55 @@ def dist_to_json(d: Dist) -> dict:
     raise ValueError(f"cannot serialize {type(d).__name__}")
 
 
+def _of_type(v, types) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 class _Fields(dict):
-    """A dist_v1 object whose missing fields raise ValueError, not KeyError."""
+    """A dist_v1 object whose missing or wrong-typed fields raise ValueError,
+    not KeyError or TypeError."""
 
     def __missing__(self, key):
         raise ValueError(f"{DIST_SCHEMA} object is missing field {key!r}")
 
+    def typed(self, key: str, types, items=None):
+        """Field key, checked to be of types; a list's entries of items."""
+        v = self[key]
+        if not _of_type(v, types) or (items is not None and not all(_of_type(x, items) for x in v)):
+            raise ValueError(f"{DIST_SCHEMA} field {key!r} has the wrong type")
+        return v
+
 
 def dist_from_json(obj: dict) -> Dist:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{DIST_SCHEMA} object must be a JSON object")
     if obj.get("schema") != DIST_SCHEMA:
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
     obj = _Fields(obj)
-    kind = obj["kind"]
+    kind = obj.typed("kind", str)
     if kind == "affine_uniform":
-        n, dim = obj["n"], obj["dim"]
-        basis = BitMatrix(n, dim, [int(r, 16) for r in obj["basis_rows"]])
-        return AffineUniform(AffineSubspace(basis, BitVec.from_hex(n, obj["shift"])))
+        n, dim = obj.typed("n", int), obj.typed("dim", int)
+        rows = obj.typed("basis_rows", list, str)
+        basis = BitMatrix(n, dim, [int(r, 16) for r in rows])
+        return AffineUniform(AffineSubspace(basis, BitVec.from_hex(n, obj.typed("shift", str))))
     if kind == "noisy_parity":
-        return NoisyParity(BitVec.from_hex(obj["k"], obj["s"]), _eta_from_json(obj["eta"]))
+        s = BitVec.from_hex(obj.typed("k", int), obj.typed("s", str))
+        return NoisyParity(s, _eta_from_json(obj.typed("eta", (int, float, str))))
     if kind == "function":
-        base = dist_from_json(obj["base"])
-        packed = int(obj["table"], 16)
+        base = dist_from_json(obj.typed("base", dict))
+        packed = int(obj.typed("table", str), 16)
         table = [(packed >> i) & 1 for i in range(1 << base.n)]
         return FunctionDist(table, base)
     if kind == "point_mass":
-        return PointMass(BitVec.from_hex(obj["n"], obj["value"]))
+        return PointMass(BitVec.from_hex(obj.typed("n", int), obj.typed("value", str)))
     if kind == "product":
-        return Product([dist_from_json(p) for p in obj["parts"]])
+        return Product([dist_from_json(p) for p in obj.typed("parts", list, dict)])
     if kind == "dense":
         import numpy as np
 
-        return Dense(DenseDist(obj["n"], np.array(obj["probs"], dtype=float)))
+        n, probs = obj.typed("n", int), obj.typed("probs", list, (int, float))
+        return Dense(DenseDist(n, np.array(probs, dtype=float)))
     raise ValueError(f"unknown dist kind {kind!r}")
 
 

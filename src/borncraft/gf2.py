@@ -15,19 +15,27 @@ def _lsb(x: int) -> int:
 def _reduce(pivots: dict[int, int], v: int) -> int:
     """Reduce v against pivot rows keyed by their lowest set bit."""
     while v:
-        row = pivots.get(_lsb(v))
+        # _lsb(v), inlined: this is the inner loop of every elimination.
+        row = pivots.get((v & -v).bit_length() - 1)
         if row is None:
             return v
         v ^= row
     return 0
 
 
-def _build_pivots(vecs) -> dict[int, int]:
-    pivots: dict[int, int] = {}
-    for v in vecs:
+def _build_pivots(vecs, pivots: dict[int, int] | None = None,
+                  kept: list[int] | None = None) -> dict[int, int]:
+    """Greedy elimination of vecs, in order, into pivots (a new dict when
+    None): lowest set bit -> reduced row. The index of each vector that is
+    independent of the ones before it is appended to kept."""
+    if pivots is None:
+        pivots = {}
+    for idx, v in enumerate(vecs):
         w = _reduce(pivots, v)
         if w:
             pivots[_lsb(w)] = w
+            if kept is not None:
+                kept.append(idx)
     return pivots
 
 
@@ -238,24 +246,19 @@ def rank(m: BitMatrix) -> int:
     return len(_build_pivots(m.data))
 
 
-def max_independent_subset(vs: Sequence[BitVec]) -> list[int]:
+def max_independent_subset(vs: Sequence[BitVec],
+                           pivots: dict[int, int] | None = None) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     Pivoting is by lowest set bit, first-seen vector; the result is
-    deterministic and the indexed vectors span span(vs).
+    deterministic and the indexed vectors span span(vs). An empty dict passed
+    as pivots receives the elimination's pivot rows, which is the pivot dict
+    of the indexed vectors (see AffineSubspace._from_cols).
     """
-    if not vs:
-        return []
-    n = vs[0].n
-    pivots: dict[int, int] = {}
+    if len({v.n for v in vs}) > 1:
+        raise ValueError("vectors have mixed lengths")
     out: list[int] = []
-    for idx, v in enumerate(vs):
-        if v.n != n:
-            raise ValueError("vectors have mixed lengths")
-        w = _reduce(pivots, v.bits)
-        if w:
-            pivots[_lsb(w)] = w
-            out.append(idx)
+    _build_pivots([v.bits for v in vs], pivots, out)
     return out
 
 
@@ -307,28 +310,33 @@ def nullspace(m: BitMatrix) -> list[BitVec]:
 class AffineSubspace:
     """A = {basis.b + shift : b in F2^dim} with independent basis columns.
 
-    Values are immutable after construction and safe to share.
+    Stored as packed columns and a shift; the pivot dict of the columns is
+    kept once it is known, and the basis matrix is built on demand. Values
+    are immutable after construction and safe to share.
     """
 
-    __slots__ = ("basis", "shift", "_cols")
+    __slots__ = ("shift", "_cols", "_pivots")
 
     def __init__(self, basis: BitMatrix, shift: BitVec):
         if basis.rows != shift.n:
             raise ValueError("basis/shift dimension mismatch")
-        cols = tuple(basis.col(j).bits for j in range(basis.cols))
-        if len(_build_pivots(cols)) != len(cols):
+        cols = basis.transpose().data
+        pivots = _build_pivots(cols)
+        if len(pivots) != len(cols):
             raise ValueError("basis columns are dependent")
-        self.basis = basis
         self.shift = shift
         self._cols = cols
+        self._pivots = pivots
 
     @classmethod
-    def _from_cols(cls, n: int, cols: Sequence[int], shift_bits: int) -> "AffineSubspace":
-        """Construct from known-independent packed column vectors."""
+    def _from_cols(cls, n: int, cols: Sequence[int], shift_bits: int,
+                   pivots: dict[int, int] | None = None) -> "AffineSubspace":
+        """Construct from known-independent packed column vectors; pivots,
+        when given, is _build_pivots(cols) and is never mutated after."""
         sub = object.__new__(cls)
-        sub.basis = BitMatrix.from_cols([BitVec(n, c) for c in cols], rows=n)
         sub.shift = BitVec(n, shift_bits)
         sub._cols = tuple(c & ((1 << n) - 1) for c in cols)
+        sub._pivots = pivots
         return sub
 
     @classmethod
@@ -352,7 +360,17 @@ class AffineSubspace:
             if w:
                 pivots[_lsb(w)] = w
                 cols.append(v)
-        return cls._from_cols(n, cols, rng.getrandbits(n) if n else 0)
+        return cls._from_cols(n, cols, rng.getrandbits(n) if n else 0, pivots)
+
+    @property
+    def basis(self) -> BitMatrix:
+        """The n x dim matrix whose columns are the basis vectors."""
+        return BitMatrix(self.dim, self.n, self._cols).transpose()
+
+    def _pivot_dict(self) -> dict[int, int]:
+        if self._pivots is None:
+            self._pivots = _build_pivots(self._cols)
+        return self._pivots
 
     @property
     def n(self) -> int:
@@ -369,15 +387,16 @@ class AffineSubspace:
     def contains(self, x: BitVec) -> bool:
         if x.n != self.n:
             raise ValueError("dimension mismatch")
-        return _reduce(_build_pivots(self._cols), x.bits ^ self.shift.bits) == 0
+        return _reduce(self._pivot_dict(), x.bits ^ self.shift.bits) == 0
 
     def sample(self, rng) -> BitVec:
-        b = rng.getrandbits(self.dim) if self.dim else 0
+        cols = self._cols
+        b = rng.getrandbits(len(cols)) if cols else 0
         acc = self.shift.bits
-        for j, c in enumerate(self._cols):
+        for j, c in enumerate(cols):
             if (b >> j) & 1:
                 acc ^= c
-        return BitVec(self.n, acc)
+        return BitVec(self.shift.n, acc)
 
     def elements(self) -> Iterator[BitVec]:
         """All 2^dim members, enumerated by Gray code."""
@@ -391,7 +410,7 @@ class AffineSubspace:
         """Set equality of the two subspaces."""
         if self.n != other.n or self.dim != other.dim:
             return False
-        pivots = _build_pivots(self._cols)
+        pivots = self._pivot_dict()
         if _reduce(pivots, self.shift.bits ^ other.shift.bits):
             return False
         return all(_reduce(pivots, c) == 0 for c in other._cols)
@@ -400,7 +419,7 @@ class AffineSubspace:
         """dim(A intersect B), or None when the intersection is empty."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        pivots = _build_pivots(self._cols + other._cols)
+        pivots = _build_pivots(other._cols, dict(self._pivot_dict()))
         if _reduce(pivots, self.shift.bits ^ other.shift.bits):
             return None
         return self.dim + other.dim - len(pivots)

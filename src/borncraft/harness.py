@@ -136,11 +136,12 @@ def recovery_trial(n: int, m: int, k: int, rng) -> tuple[bool, float, int]:
     counted samples informative for the span, matching the k-sample coupon
     bound 1 - 2^(m-k)."""
     truth = AffineSubspace.random(rng, n, m)
-    oracle = SampleOracle(AffineUniform(truth), rng)
+    truth_dist = AffineUniform(truth)
+    oracle = SampleOracle(truth_dist, rng)
     samples = [oracle.draw() for _ in range(k + 1)]
     learned = recover_affine(samples)
     success = learned.subspace.same_set(truth)
-    dist_tv = float(tv(learned.dist(), AffineUniform(truth)))
+    dist_tv = float(tv(learned.dist(), truth_dist))
     return success, dist_tv, oracle.queries
 
 

@@ -47,9 +47,10 @@ def recover_affine(samples: Sequence[BitVec]) -> LearnedAffine:
         raise ValueError("need at least one sample")
     origin = samples[0]
     diffs = [x ^ origin for x in samples[1:]]
-    idx = max_independent_subset(diffs)
+    pivots: dict[int, int] = {}
+    idx = max_independent_subset(diffs, pivots)
     sub = AffineSubspace._from_cols(
-        origin.n, tuple(diffs[i].bits for i in idx), origin.bits
+        origin.n, tuple(diffs[i].bits for i in idx), origin.bits, pivots
     )
     return LearnedAffine(sub, len(samples))
 

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borncraft.circuit import (
+    GATE_ARITY,
     Circuit,
     Gate,
     depth,
@@ -129,6 +131,26 @@ def test_text_format_roundtrip():
         assert parse_circuit(format_circuit(c)) == c
 
 
+@st.composite
+def circuits(draw, max_qubits=6, max_gates=40):
+    """Any gate sequence, non-local two-qubit gates and repeated lines included."""
+    n = draw(st.integers(0, max_qubits))
+    kinds = [k for k, a in GATE_ARITY.items() if a <= n]
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates if kinds else 0))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=GATE_ARITY[kind],
+                               max_size=GATE_ARITY[kind], unique=True))
+        gates.append(Gate(kind, tuple(qubits)))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_text_format_roundtrip_property(c):
+    assert parse_circuit(format_circuit(c)) == c
+
+
 def test_text_format_comments_and_blanks():
     text = """
 # a comment
@@ -157,3 +179,25 @@ def test_text_format_errors():
         parse_circuit("qubits 2\nH 5\n")
     with pytest.raises(ValueError, match="header"):
         parse_circuit("# only comments\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("qubits 2\nH 0\nH 0\nCNOT 1 1\n", "line 4: two-qubit gate needs distinct qubits"),
+    ("qubits 2\nH 0\nH 0\nfoo 1\n", "line 4: unknown gate 'foo'"),
+    ("qubits 2\nH 0\nH 0 1\n", "line 3: H takes 1 qubit(s)"),
+    ("qubits 2\nH 0\nH 0\nH x\n", "line 4: bad qubit index"),
+    ("qubits 2\nH 1\nH -1\n", "line 3: negative qubit index"),
+    ("qubits x\n", "line 1: bad qubit count 'x'"),
+    ("qubits 2\nH 0\nH 0\nCNOT 0 5\n", "qubit 5 out of range for 2-qubit circuit"),
+])
+def test_text_format_error_messages_with_repeated_lines(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message
+
+
+def test_pack_reports_first_out_of_range_qubit():
+    with pytest.raises(ValueError, match="qubit 5 out of range for 4-qubit"):
+        Circuit(4, [Gate.h(0), Gate.cnot(5, 7)])
+    with pytest.raises(ValueError, match="qubit 7 out of range for 4-qubit"):
+        Circuit(4, [Gate.cnot(1, 7)])

@@ -190,3 +190,33 @@ def test_experiment_unwritable_out_exit_2(tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "output file" in err[0]
+
+
+def test_experiment_unwritable_out_checked_before_run(tmp_path, capsys, monkeypatch):
+    def runner(spec):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr("borncraft.cli.run", runner)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main([
+            "experiment", "parity-tv", "--grid", '{"k": 2}', "--trials", "1",
+            "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "cannot write output file" in err[0]
+
+
+def test_experiment_failed_run_leaves_out_untouched(tmp_path, capsys):
+    def experiment(k, out):
+        return main(["experiment", "parity-tv", "--grid", f'{{"k": {k}}}', "--trials", "1",
+                     "--out", str(out)])
+
+    new = tmp_path / "new.json"
+    assert experiment(9, new) == 3  # infeasible grid: the run fails
+    assert not new.exists()
+    old = tmp_path / "old.json"
+    old.write_text("previous result\n")
+    assert experiment(9, old) == 3
+    assert old.read_text() == "previous result\n"
+    assert experiment(2, old) == 0
+    assert json.loads(old.read_text())["experiment"] == "parity-tv"

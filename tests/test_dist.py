@@ -196,6 +196,69 @@ def test_tv_affine_fast_path_matches_enumeration():
         assert fast == brute / 2
 
 
+@st.composite
+def affine_triples(draw):
+    """Three uniform distributions on affine subspaces of F2^n: dimensions
+    drawn independently, and each later one sometimes a translate of the
+    first (the same set, or a disjoint coset)."""
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    first = AffineSubspace.random(rng, n, draw(st.integers(0, n)))
+    subs = [first]
+    for _ in range(2):
+        if draw(st.booleans()):
+            t = draw(st.integers(0, (1 << n) - 1))
+            subs.append(AffineSubspace._from_cols(n, first._cols, first.shift.bits ^ t))
+        else:
+            subs.append(AffineSubspace.random(rng, n, draw(st.integers(0, n))))
+    return [AffineUniform(s) for s in subs]
+
+
+def _tv_by_enumeration(a: AffineUniform, b: AffineUniform) -> Fraction:
+    sa = {x.bits for x in a.subspace.elements()}
+    sb = {x.bits for x in b.subspace.elements()}
+    pa, pb = Fraction(1, len(sa)), Fraction(1, len(sb))
+    return sum(abs(pa * (x in sa) - pb * (x in sb)) for x in sa | sb) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_triples())
+def test_tv_affine_properties(triple):
+    a, b, c = triple
+    ab = tv(a, b)
+    assert isinstance(ab, Fraction)
+    assert ab == _tv_by_enumeration(a, b)
+    assert tv(b, a) == ab
+    assert tv(a, c) <= ab + tv(b, c)
+    assert tv(b, c) <= ab + tv(a, c)
+    assert (ab == 1) == (a.subspace.intersection_dim(b.subspace) is None)
+
+
+@st.composite
+def exact_dists(draw, n):
+    """A distribution on n bits from a family with exact rational masses."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["affine", "point", "parity", "product"]))
+    if kind == "affine":
+        return AffineUniform(AffineSubspace.random(rng, n, draw(st.integers(0, n))))
+    if kind == "parity" and n > 1:
+        eta = draw(st.fractions(0, 1, max_denominator=16).filter(lambda f: f < 1))
+        return NoisyParity(BitVec.random(rng, n - 1), eta)
+    if kind == "product" and n > 1:
+        k = draw(st.integers(1, n - 1))
+        return Product([uniform(k), PointMass(BitVec.random(rng, n - k))])
+    return PointMass(BitVec.random(rng, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[exact_dists(n)] * 3)))
+def test_tv_symmetric_and_triangle_across_families(triple):
+    a, b, c = triple
+    assert tv(a, b) == tv(b, a)
+    assert tv(a, c) <= tv(a, b) + tv(b, c)
+    assert 0 <= tv(a, b) <= 1
+
+
 def test_tv_mixed_structured_dense():
     c = parity_circuit(BitVec.from_str("11"), noisy=True)
     dense = Dense(sv_distribution(c))
@@ -385,6 +448,50 @@ def test_json_roundtrip_property(d, rng):
     for _ in range(8):
         x = BitVec.random(rng, d.n)
         assert back.eval(x) == d.eval(x)
+
+
+# The JSON types each dist_v1 field accepts; bool and float count apart from int.
+_FIELD_TYPES = {
+    "schema": {str}, "kind": {str}, "n": {int}, "dim": {int}, "k": {int},
+    "basis_rows": {list}, "shift": {str}, "s": {str}, "eta": {int, float, str},
+    "table": {str}, "base": {dict}, "value": {str}, "parts": {list}, "probs": {list},
+}
+_ITEM_TYPES = {"basis_rows": {str}, "parts": {dict}, "probs": {int, float}}
+_JSON_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-3, 3),
+    float: st.floats(-2, 2),
+    str: st.sampled_from(["", "3", "x", "1/2"]),
+    list: st.lists(st.integers(0, 3), max_size=2),
+    dict: st.just({}),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(serializable_dists(), st.data())
+def test_json_wrong_typed_field_names_it(d, data):
+    obj = json.loads(json.dumps(dist_to_json(d)))
+    field = data.draw(st.sampled_from(sorted(obj)), label="field")
+    allowed = _FIELD_TYPES[field]
+    if field in _ITEM_TYPES and data.draw(st.booleans(), label="swap an item"):
+        items, allowed = list(obj[field]), _ITEM_TYPES[field]
+        i = data.draw(st.integers(0, len(items) - 1), label="item")
+        wrong = data.draw(st.sampled_from([t for t in _JSON_VALUES if t not in allowed]))
+        items[i] = data.draw(_JSON_VALUES[wrong], label="value")
+        obj[field] = items
+    else:
+        wrong = data.draw(st.sampled_from([t for t in _JSON_VALUES if t not in allowed]))
+        obj[field] = data.draw(_JSON_VALUES[wrong], label="value")
+    with pytest.raises(ValueError, match=field):
+        dist_from_json(obj)
+
+
+def test_json_wrong_typed_point_mass_n():
+    with pytest.raises(ValueError, match="field 'n'"):
+        dist_from_json({"schema": "dist_v1", "kind": "point_mass", "n": "3", "value": "1"})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        dist_from_json(["dist_v1"])
 
 
 # --- oracles ---------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for the GF(2) substrate, checked against exhaustive span oracles."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from borncraft.circuit import random_circuit
+from borncraft.dist import AffineUniform, dist_from_json, dist_to_json, marginalize
 from borncraft.gf2 import (
     AffineSubspace,
     BitMatrix,
@@ -14,6 +18,9 @@ from borncraft.gf2 import (
     rank,
     solve,
 )
+from borncraft.learn import recover_affine
+from borncraft.stabilizer import simulate_clifford
+from borncraft.statevector import sv_distribution
 
 
 def brute_span(vec_bits):
@@ -299,3 +306,86 @@ def test_same_set_equal_but_different_parametrization():
         BitVec.zeros(3),
     )
     assert a.same_set(b) and b.same_set(a)
+
+
+# --- AffineSubspace against enumeration, over every construction path ------------
+
+
+def _brute_affine_span(points):
+    """The smallest affine subspace holding the points, as a set."""
+    return {x ^ points[0] for x in brute_span([p ^ points[0] for p in points[1:]])}
+
+
+@st.composite
+def subspaces(draw, n):
+    """(subspace of F2^n, its member set computed without the subspace), built
+    through one of the construction paths."""
+    rng = draw(st.randoms(use_true_random=False))
+    path = draw(st.sampled_from(
+        ["init", "from_cols", "random", "recover_affine", "support", "marginalize", "json"]
+    ))
+    if path in ("init", "from_cols", "json"):
+        src = AffineSubspace.random(rng, n, draw(st.integers(0, n)))
+        members = brute_affine(src._cols, src.shift.bits)
+        if path == "init":
+            sub = AffineSubspace(BitMatrix.from_cols(
+                [BitVec(n, c) for c in src._cols], rows=n), src.shift)
+        elif path == "from_cols":
+            sub = AffineSubspace._from_cols(n, src._cols, src.shift.bits)
+        else:
+            sub = dist_from_json(json.loads(json.dumps(dist_to_json(AffineUniform(src))))).subspace
+        return sub, members
+    if path == "random":
+        sub = AffineSubspace.random(rng, n, draw(st.integers(0, n)))
+        return sub, brute_affine(sub._cols, sub.shift.bits)
+    if path == "recover_affine":
+        # Repeats and dependent differences included.
+        pts = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 3))
+        sub = recover_affine([BitVec(n, p) for p in pts]).subspace
+        return sub, _brute_affine_span(pts)
+    if path == "support":
+        circuit = random_circuit(rng, n, draw(st.integers(0, 6)))
+        probs = sv_distribution(circuit).probs
+        return simulate_clifford(circuit).support(), {x for x in range(1 << n) if probs[x] > 1e-9}
+    extra = draw(st.integers(1, 3))
+    big = AffineSubspace.random(rng, n + extra, draw(st.integers(0, n + extra)))
+    sub = marginalize(AffineUniform(big), n).subspace
+    return sub, {x & ((1 << n) - 1) for x in brute_affine(big._cols, big.shift.bits)}
+
+
+_OPS = ["contains", "elements", "same_set", "same_set_rev", "inter", "inter_rev", "dim"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subspace_methods_match_enumeration_on_every_path(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    a, sa = data.draw(subspaces(n), label="a")
+    if data.draw(st.booleans(), label="b re-expresses a"):
+        # Same set through other columns: recovery from a's shuffled members.
+        pts = data.draw(st.permutations(sorted(sa)), label="a's members")
+        b, sb = recover_affine([BitVec(n, x) for x in pts]).subspace, sa
+    else:
+        b, sb = data.draw(subspaces(n), label="b")
+    # Run every check twice, in a drawn order, so that a call which changed a
+    # cached elimination would show in a later call.
+    ops = data.draw(st.permutations(_OPS * 2), label="ops")
+    for op in ops:
+        if op == "contains":
+            xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+            for x in xs + sorted(sa)[:4] + sorted(sb)[:4]:
+                assert a.contains(BitVec(n, x)) == (x in sa)
+                assert b.contains(BitVec(n, x)) == (x in sb)
+        elif op == "elements":
+            for sub, members in ((a, sa), (b, sb)):
+                got = [x.bits for x in sub.elements()]
+                assert len(got) == sub.size and set(got) == members
+        elif op == "dim":
+            assert (1 << a.dim, 1 << b.dim) == (len(sa), len(sb))
+        elif op.startswith("same_set"):
+            x, y = (a, b) if op == "same_set" else (b, a)
+            assert x.same_set(y) == (sa == sb)
+        else:
+            x, y = (a, b) if op == "inter" else (b, a)
+            common = sa & sb
+            assert x.intersection_dim(y) == (len(common).bit_length() - 1 if common else None)

@@ -185,3 +185,17 @@ def test_registry_names():
     assert set(EXPERIMENTS) == {
         "recovery-curve", "t-noise", "parity-tv", "sq-vs-sample", "opnorm-tv",
     }
+
+
+def test_recovery_trial_builds_no_basis_matrix(monkeypatch):
+    # The trial works on packed columns only; the row-major basis matrix is
+    # built on demand, for serialization.
+    from borncraft.gf2 import BitMatrix
+
+    def from_cols(*args, **kwargs):
+        raise AssertionError("BitMatrix.from_cols called")
+
+    monkeypatch.setattr(BitMatrix, "from_cols", from_cols)
+    for m, k in ((0, 0), (4, 6), (8, 8), (12, 20)):
+        ok, _, queries = recovery_trial(16, m, k, trial_rng(0, m, k))
+        assert queries == k + 1
