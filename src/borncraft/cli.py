@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 bad arguments or inputs, 3 infeasible experiment grid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -167,9 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so main builds it once per process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleGridError as e:

@@ -344,8 +344,11 @@ def _eta_to_json(eta):
 
 def _eta_from_json(v):
     if isinstance(v, str):
-        num, den = v.split("/")
-        return Fraction(int(num), int(den))
+        try:
+            num, den = v.split("/")
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{DIST_SCHEMA} field 'eta' is not a fraction: {v!r}") from None
     return v
 
 
@@ -422,6 +425,13 @@ class _Fields(dict):
         return v
 
 
+def _hex_field(key: str, width: int, s: str) -> BitVec:
+    try:
+        return BitVec.from_hex(width, s)
+    except ValueError as e:
+        raise ValueError(f"{DIST_SCHEMA} field {key!r}: {e}") from None
+
+
 def dist_from_json(obj: dict) -> Dist:
     if not isinstance(obj, dict):
         raise ValueError(f"{DIST_SCHEMA} object must be a JSON object")
@@ -432,18 +442,20 @@ def dist_from_json(obj: dict) -> Dist:
     if kind == "affine_uniform":
         n, dim = obj.typed("n", int), obj.typed("dim", int)
         rows = obj.typed("basis_rows", list, str)
-        basis = BitMatrix(n, dim, [int(r, 16) for r in rows])
-        return AffineUniform(AffineSubspace(basis, BitVec.from_hex(n, obj.typed("shift", str))))
+        basis = BitMatrix(n, dim, [_hex_field("basis_rows", dim, r).bits for r in rows])
+        return AffineUniform(AffineSubspace(basis, _hex_field("shift", n, obj.typed("shift", str))))
     if kind == "noisy_parity":
-        s = BitVec.from_hex(obj.typed("k", int), obj.typed("s", str))
+        s = _hex_field("s", obj.typed("k", int), obj.typed("s", str))
         return NoisyParity(s, _eta_from_json(obj.typed("eta", (int, float, str))))
     if kind == "function":
         base = dist_from_json(obj.typed("base", dict))
-        packed = int(obj.typed("table", str), 16)
+        if base.n > _MAX_TABLE_BITS:  # before the table is unpacked
+            raise ValueError(f"truth tables supported up to {_MAX_TABLE_BITS} input bits")
+        packed = _hex_field("table", 1 << base.n, obj.typed("table", str)).bits
         table = [(packed >> i) & 1 for i in range(1 << base.n)]
         return FunctionDist(table, base)
     if kind == "point_mass":
-        return PointMass(BitVec.from_hex(obj.typed("n", int), obj.typed("value", str)))
+        return PointMass(_hex_field("value", obj.typed("n", int), obj.typed("value", str)))
     if kind == "product":
         return Product([dist_from_json(p) for p in obj.typed("parts", list, dict)])
     if kind == "dense":

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Sequence
 
 import numpy as np
+
+_HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 
 
 def _lsb(x: int) -> int:
@@ -86,7 +89,15 @@ class BitVec:
 
     @classmethod
     def from_hex(cls, n: int, s: str) -> "BitVec":
-        return cls(n, int(s, 16))
+        """Parse hex digits, most significant first; a sign, ``0x``, ``_``,
+        whitespace or a set bit at or above n is a ValueError."""
+        if not _HEX_DIGITS.fullmatch(s):
+            raise ValueError(f"{s!r} is not a string of hex digits")
+        bits = int(s, 16)
+        v = cls(n, bits)
+        if v.bits != bits:
+            raise ValueError(f"hex value {s!r} has a set bit at or above {n}")
+        return v
 
     def to_hex(self) -> str:
         return format(self.bits, "x")

@@ -7,6 +7,8 @@ convention: bit q of the integer index is the state of qubit q.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .circuit import Circuit
@@ -23,10 +25,16 @@ _T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
 _1Q = {"H": _H, "S": _S, "T": _T}
 
 
-def _apply_1q(arr: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    # Leading n axes are qubit axes (axis a holds qubit n-1-a); trailing axes
-    # pass through, so the same kernels serve states and unitaries.
-    axis = n - 1 - q
+# A one-qubit gate is a (2x2)·(2xN) product, N = 2^(m-1) on m simulated
+# qubits. For N < 4 NumPy/OpenBLAS takes other code paths (gemv at N = 1, a
+# small-size kernel at N <= 3) whose results can differ in the last bit from
+# the full state's: 9-qubit `H 0; H 0` would give probability 0.0 where the
+# full state gives 5.0e-34. Simulating at least three qubits keeps N >= 4 and
+# the output floats equal to a full-state simulation's.
+_MIN_SIM_QUBITS = 3
+
+
+def _apply_1q(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     out = np.tensordot(mat, arr, axes=([1], [axis]))
     return np.moveaxis(out, 0, axis)
 
@@ -38,28 +46,41 @@ def _index(ndim: int, assignments: dict[int, int]) -> tuple:
     return tuple(idx)
 
 
-def _apply_cnot(arr: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    ac, at = n - 1 - control, n - 1 - target
-    out = arr.copy()
-    out[_index(arr.ndim, {ac: 1, at: 0})] = arr[_index(arr.ndim, {ac: 1, at: 1})]
-    out[_index(arr.ndim, {ac: 1, at: 1})] = arr[_index(arr.ndim, {ac: 1, at: 0})]
+def _swap_blocks(arr: np.ndarray, i: tuple, j: tuple) -> None:
+    """Exchange the blocks arr[i] and arr[j] in place."""
+    tmp = arr[i].copy()
+    arr[i] = arr[j]
+    arr[j] = tmp
+
+
+def _apply_cnot(arr: np.ndarray, ac: int, at: int) -> np.ndarray:
+    _swap_blocks(arr, _index(arr.ndim, {ac: 1, at: 0}), _index(arr.ndim, {ac: 1, at: 1}))
+    return arr
+
+
+def _apply_swap(arr: np.ndarray, aa: int, ab: int) -> np.ndarray:
+    _swap_blocks(arr, _index(arr.ndim, {aa: 0, ab: 1}), _index(arr.ndim, {aa: 1, ab: 0}))
+    return arr
+
+
+def _apply_gate(arr: np.ndarray, kind: str, axes: list[int]) -> np.ndarray:
+    """Apply a gate to the qubit axes ``axes`` of arr; trailing axes pass
+    through, so the same kernels serve states and unitaries. Two-qubit gates
+    work in place."""
+    if kind in _1Q:
+        return _apply_1q(arr, _1Q[kind], axes[0])
+    if kind == "CNOT":
+        return _apply_cnot(arr, axes[0], axes[1])
+    return _apply_swap(arr, axes[0], axes[1])
+
+
+def _add_qubit(arr: np.ndarray, qubits: list[int], q: int) -> np.ndarray:
+    """Insert qubit q, in |0>, into the state over the sorted list qubits."""
+    i = bisect_left(qubits, q)
+    qubits.insert(i, q)
+    out = np.zeros((2,) * len(qubits), dtype=complex)
+    out[(slice(None),) * (len(qubits) - 1 - i) + (0,)] = arr
     return out
-
-
-def _apply_swap(arr: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    aa, ab = n - 1 - a, n - 1 - b
-    out = arr.copy()
-    out[_index(arr.ndim, {aa: 0, ab: 1})] = arr[_index(arr.ndim, {aa: 1, ab: 0})]
-    out[_index(arr.ndim, {aa: 1, ab: 0})] = arr[_index(arr.ndim, {aa: 0, ab: 1})]
-    return out
-
-
-def _apply_gate(arr: np.ndarray, gate, n: int) -> np.ndarray:
-    if gate.kind in _1Q:
-        return _apply_1q(arr, _1Q[gate.kind], gate.qubits[0], n)
-    if gate.kind == "CNOT":
-        return _apply_cnot(arr, gate.qubits[0], gate.qubits[1], n)
-    return _apply_swap(arr, gate.qubits[0], gate.qubits[1], n)
 
 
 class StateVector:
@@ -113,19 +134,34 @@ class DenseDist:
 
 
 def run_state(c: Circuit) -> StateVector:
-    """Apply the circuit to |0...0>, checking norm after every layer."""
-    if c.n > MAX_STATE_QUBITS:
+    """Apply the circuit to |0...0>, checking norm after every layer.
+
+    Only the qubits some gate has touched (and at least the lowest
+    _MIN_SIM_QUBITS) are simulated: axis a of the state holds the a-th highest
+    of them. The others stay |0> and are embedded at the end.
+    """
+    n = c.n
+    if n > MAX_STATE_QUBITS:
         raise ValueError(f"statevector backend limited to {MAX_STATE_QUBITS} qubits")
-    state = np.zeros(1 << c.n, dtype=complex)
-    state[0] = 1.0
-    arr = state.reshape((2,) * c.n) if c.n else state
+    qubits = list(range(min(n, _MIN_SIM_QUBITS)))
+    arr = np.zeros((2,) * len(qubits), dtype=complex)
+    arr[(0,) * len(qubits)] = 1.0
     for layer in c.layers:
         for gate in layer:
-            arr = _apply_gate(arr, gate, c.n)
+            for q in gate.qubits:
+                if q not in qubits:
+                    arr = _add_qubit(arr, qubits, q)
+            m = len(qubits)
+            axes = [m - 1 - bisect_left(qubits, q) for q in gate.qubits]
+            arr = _apply_gate(arr, gate.kind, axes)
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"norm drifted to {norm} during simulation")
-    return StateVector(c.n, arr.reshape(-1))
+    if len(qubits) < n:
+        state = np.zeros((2,) * n, dtype=complex)
+        state[tuple(slice(None) if q in qubits else 0 for q in reversed(range(n)))] = arr
+        arr = state
+    return StateVector(n, arr.reshape(-1))
 
 
 def sv_distribution(c: Circuit) -> DenseDist:
@@ -140,7 +176,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     dim = 1 << c.n
     arr = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
     for gate in c.gates():
-        arr = _apply_gate(arr, gate, c.n)
+        arr = _apply_gate(arr, gate.kind, [c.n - 1 - q for q in gate.qubits])
     return arr.reshape(dim, dim)
 
 

@@ -1,6 +1,8 @@
 """CLI behavior: commands, output formats, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -220,3 +222,37 @@ def test_experiment_failed_run_leaves_out_untouched(tmp_path, capsys):
     assert old.read_text() == "previous result\n"
     assert experiment(2, old) == 0
     assert json.loads(old.read_text())["experiment"] == "parity-tv"
+
+
+def _comparable(out: str) -> str:
+    # learn closure reports its wall time; everything else must match exactly
+    if out.startswith("{"):
+        obj = json.loads(out)
+        obj.pop("wall_time_s", None)
+        return json.dumps(obj, sort_keys=True)
+    return out
+
+
+def test_main_in_one_process_matches_separate_processes(parity_file, noisy_file, capsys):
+    argvs = [
+        ["simulate", noisy_file, "--backend", "sv"],
+        ["learn", "closure", "--circuit", parity_file, "--delta", "0.01", "--seed", "4"],
+        ["learn", "closure", "--circuit", parity_file],  # argparse error: no --delta
+        ["simulate", parity_file, "--samples", "4", "--seed", "2"],
+        ["simulate", noisy_file, "--backend", "sv"],
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        in_process.append((code, _comparable(out), err))
+    separate = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "borncraft.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        separate.append((proc.returncode, _comparable(proc.stdout), proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]

@@ -494,6 +494,49 @@ def test_json_wrong_typed_point_mass_n():
         dist_from_json(["dist_v1"])
 
 
+@pytest.mark.parametrize("eta", ["1/0", "0/0", "-3/0", "1", "a/2", "1/2/3"])
+def test_json_bad_eta_fraction_names_it(eta):
+    with pytest.raises(ValueError, match="field 'eta'"):
+        dist_from_json({"schema": "dist_v1", "kind": "noisy_parity", "k": 2, "s": "1", "eta": eta})
+
+
+# Every hex field, with a good value and a dist_v1 object around it; each is 3
+# bits wide except the table, which is 1 << 1 bits wide.
+_HEX_FIELDS = {
+    "value": ("2", lambda v: {"kind": "point_mass", "n": 3, "value": v}),
+    "s": ("5", lambda v: {"kind": "noisy_parity", "k": 3, "s": v, "eta": "1/8"}),
+    "shift": ("6", lambda v: {"kind": "affine_uniform", "n": 3, "dim": 1,
+                              "basis_rows": ["1", "0", "1"], "shift": v}),
+    "basis_rows": ("2", lambda v: {"kind": "affine_uniform", "n": 3, "dim": 3,
+                                   "basis_rows": ["1", v, "4"], "shift": "0"}),
+    "table": ("2", lambda v: {"kind": "function", "table": v,
+                              "base": {"schema": "dist_v1", "kind": "point_mass", "n": 1, "value": "1"}}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_HEX_FIELDS))
+@pytest.mark.parametrize("bad", ["-1", "0x_f", " 1", "1_0", "8", "1/0", ""])
+def test_json_hex_fields_are_strict(field, bad):
+    good, make = _HEX_FIELDS[field]
+    dist_from_json({"schema": "dist_v1", **make(good)})
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        dist_from_json({"schema": "dist_v1", **make(bad)})
+
+
+def test_from_hex_reads_either_case_and_checks_width():
+    assert BitVec.from_hex(8, "aB") == BitVec(8, 0xAB)
+    assert BitVec.from_hex(0, "0") == BitVec(0)
+    with pytest.raises(ValueError, match="at or above 7"):
+        BitVec.from_hex(7, "80")
+
+
+def test_json_function_base_over_cap_fails_before_unpacking():
+    # the table would be 2^64 bits wide
+    base = {"schema": "dist_v1", "kind": "point_mass", "n": 64, "value": "0"}
+    with pytest.raises(ValueError, match="truth tables supported up to"):
+        dist_from_json({"schema": "dist_v1", "kind": "function", "table": "0", "base": base})
+
+
 # --- oracles ---------------------------------------------------------------------
 
 

@@ -222,3 +222,120 @@ def test_run_state_normalized():
         c = random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 8), allow_t=True)
         sv = run_state(c)
         assert np.linalg.norm(sv.amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+# --- reduced-state simulation against the full-state reference -------------------
+#
+# A frozen copy of the full-state simulator: every gate passes over all 2^n
+# amplitudes, and two-qubit gates write into a copy of the array. The reduced
+# simulator must give the same bytes.
+
+_REF_1Q = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+}
+
+
+def _ref_index(ndim, assignments):
+    idx = [slice(None)] * ndim
+    for axis, v in assignments.items():
+        idx[axis] = v
+    return tuple(idx)
+
+
+def _ref_apply_gate(arr, gate, n):
+    # axis a holds qubit n-1-a; trailing axes pass through
+    if gate.kind in _REF_1Q:
+        axis = n - 1 - gate.qubits[0]
+        out = np.tensordot(_REF_1Q[gate.kind], arr, axes=([1], [axis]))
+        return np.moveaxis(out, 0, axis)
+    a0, a1 = (n - 1 - q for q in gate.qubits)
+    if gate.kind == "CNOT":
+        i, j = _ref_index(arr.ndim, {a0: 1, a1: 0}), _ref_index(arr.ndim, {a0: 1, a1: 1})
+    else:
+        i, j = _ref_index(arr.ndim, {a0: 0, a1: 1}), _ref_index(arr.ndim, {a0: 1, a1: 0})
+    out = arr.copy()
+    out[i] = arr[j]
+    out[j] = arr[i]
+    return out
+
+
+def _ref_probs(c):
+    state = np.zeros(1 << c.n, dtype=complex)
+    state[0] = 1.0
+    arr = state.reshape((2,) * c.n) if c.n else state
+    for layer in c.layers:
+        for gate in layer:
+            arr = _ref_apply_gate(arr, gate, c.n)
+    return DenseDist(c.n, np.abs(arr.reshape(-1)) ** 2).probs
+
+
+def _ref_unitary(c):
+    dim = 1 << c.n
+    arr = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
+    for gate in c.gates():
+        arr = _ref_apply_gate(arr, gate, c.n)
+    return arr.reshape(dim, dim)
+
+
+@st.composite
+def sv_circuits(draw, max_n):
+    """Circuits whose top `pad` qubits carry no gate. With `grow`, every gate
+    after the first touches a qubit already touched, so the first gates
+    repeat on one qubit and new qubits join in later layers."""
+    n = draw(st.integers(0, max_n), label="n")
+    if n == 0:
+        return Circuit(0)
+    live = n - draw(st.integers(0, n - 1), label="pad")
+    grow = draw(st.booleans(), label="grow")
+    touched: list[int] = []
+    gates = []
+    for _ in range(draw(st.integers(0, 24), label="gates")):
+        qubit = st.integers(0, live - 1)
+        old = st.sampled_from(touched) if touched and grow else qubit
+        kind = draw(st.sampled_from(["H", "S", "T", "CNOT", "SWAP"] if live > 1 else ["H", "S", "T"]))
+        if kind in ("CNOT", "SWAP"):
+            a = draw(old)
+            b = draw(qubit.filter(lambda q: q != a))
+            qubits = (a, b) if draw(st.booleans()) else (b, a)
+        else:
+            qubits = (draw(old),)
+        touched.extend(q for q in qubits if q not in touched)
+        gates.append(Gate(kind, qubits))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sv_circuits(10))
+def test_sv_distribution_bytes_match_full_state(c):
+    assert sv_distribution(c).probs.tobytes() == _ref_probs(c).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sv_circuits(6))
+def test_circuit_unitary_bytes_match_full_state(c):
+    assert circuit_unitary(c).tobytes() == _ref_unitary(c).tobytes()
+
+
+@pytest.mark.parametrize("c", [
+    # the same qubit twice while it is the only one touched: with fewer than
+    # three simulated qubits the second H would give 0.0, not 5.0e-34
+    Circuit(9, [Gate.h(0), Gate.h(0)]),
+    parity_circuit(BitVec.from_str("1011"), noisy=True, pad=3),
+    Circuit(5, [Gate.h(4), Gate.cnot(4, 0), Gate.h(2), Gate.swap(2, 3), Gate.t(0)]),
+    # both blocks each two-qubit gate exchanges are nonzero and differ
+    Circuit(3, [Gate.h(0), Gate.h(1), Gate.t(1), Gate.h(1), Gate.cnot(0, 2), Gate.swap(1, 2)]),
+])
+def test_reduced_state_matches_full_state(c):
+    assert sv_distribution(c).probs.tobytes() == _ref_probs(c).tobytes()
+
+
+def test_few_touched_qubits_of_twenty():
+    probs = sv_distribution(Circuit(20, [Gate.h(3)])).probs
+    assert np.flatnonzero(probs).tolist() == [0, 8]
+    assert probs[0] == probs[8] == pytest.approx(0.5, abs=1e-15)
+    # qubit 17 joins after qubit 3, above it
+    probs = sv_distribution(Circuit(20, [Gate.h(3), Gate.cnot(3, 17)])).probs
+    assert np.flatnonzero(probs).tolist() == [0, 8 | 1 << 17]
+    assert probs[0] == probs[8 | 1 << 17] == pytest.approx(0.5, abs=1e-15)
