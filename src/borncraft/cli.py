@@ -15,7 +15,7 @@ import time
 
 from .dist import AffineUniform, SampleOracle, dist_to_json, tv
 from .harness import EXPERIMENTS, ExperimentSpec, InfeasibleGridError, run
-from .learn import LearnReport, closure_learn
+from .learn import closure_learn
 from .stabilizer import simulate_clifford
 from .statevector import sv_distribution
 from .circuit import parse_circuit
@@ -74,19 +74,13 @@ def _cmd_learn_closure(args) -> int:
     learned = closure_learn(oracle, circuit.n, args.delta)
     elapsed = time.perf_counter() - start
     learned_dist = learned.dist()
-    report = LearnReport(
-        success=learned.subspace.same_set(truth.subspace),
-        tv_to_truth=float(tv(learned_dist, truth)),
-        queries=oracle.queries,
-        wall_time=elapsed,
-    )
     payload = {
         "learned": dist_to_json(learned_dist),
         "samples_used": learned.samples_used,
-        "success": report.success,
-        "tv_to_truth": report.tv_to_truth,
-        "queries": report.queries,
-        "wall_time_s": report.wall_time,
+        "success": learned.subspace.same_set(truth.subspace),
+        "tv_to_truth": float(tv(learned_dist, truth)),
+        "queries": oracle.queries,
+        "wall_time_s": elapsed,
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0

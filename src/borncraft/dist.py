@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .gf2 import AffineSubspace, BitMatrix, BitVec, max_independent_subset
-from .statevector import DenseDist
 
 DIST_SCHEMA = "dist_v1"
 
@@ -25,6 +27,9 @@ DIST_SCHEMA = "dist_v1"
 _SUPPORT_BUDGET = 1 << 22
 
 _MAX_TABLE_BITS = 20
+
+# Allowed drift of a state's norm, and of a probability table's sum, from 1.
+_NORM_TOL = 1e-10
 
 
 class Dist(ABC):
@@ -221,28 +226,52 @@ class Product(Dist):
             yield out
 
 
-class Dense(Dist):
-    """Wrapper over an explicit probability table."""
+class DenseDist(Dist):
+    """Explicit probability table over {0,1}^n; sv_distribution returns one."""
 
-    def __init__(self, table: DenseDist):
-        self.table = table
-        self.n = table.n
+    __slots__ = ("n", "probs", "_cum")
+
+    def __init__(self, n: int, probs: np.ndarray):
+        if not 0 <= n <= _MAX_TABLE_BITS:
+            raise ValueError(f"dense tables supported up to {_MAX_TABLE_BITS} bits, got {n}")
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != (1 << n,):
+            raise ValueError("probability count must be 2^n")
+        # Both tests are written to fail on NaN; an infinity fails the sum.
+        if not probs.min() >= -1e-12:
+            raise ValueError("probabilities must be finite and nonnegative")
+        if not abs(probs.sum() - 1.0) <= _NORM_TOL:
+            raise ValueError("probabilities do not sum to 1")
+        self.n = n
+        self.probs = np.clip(probs, 0.0, None)
+        self._cum: np.ndarray | None = None
 
     def eval(self, x: BitVec) -> float:
         self._check_len(x)
-        return self.table.prob(x)
+        return float(self.probs[x.bits])
 
     def sample(self, rng) -> BitVec:
-        return self.table.sample(rng)
+        if self._cum is None:
+            self._cum = np.cumsum(self.probs)
+            # The float sum can end below 1: draws past it go to the last
+            # positive outcome, never to a zero-probability one after it.
+            self._cum[np.flatnonzero(self.probs)[-1]:] = np.inf
+        return BitVec(self.n, int(self._cum.searchsorted(rng.random(), side="right")))
 
     @property
     def support_size(self) -> int:
-        return int((self.table.probs > 0).sum())
+        return int(np.count_nonzero(self.probs))
 
     def support(self) -> Iterator[BitVec]:
-        for idx in range(1 << self.n):
-            if self.table.probs[idx] > 0:
-                yield BitVec(self.n, idx)
+        for idx in np.flatnonzero(self.probs):
+            yield BitVec(self.n, int(idx))
+
+
+# The identity, since a DenseDist is already a Dist. The name stays because
+# the benchmark workloads call dist.Dense(dd) (bench/workloads.py), and the
+# benchmark's files are held fixed across library changes.
+def Dense(d: DenseDist) -> DenseDist:
+    return d
 
 
 def _tv_affine(p: AffineUniform, q: AffineUniform) -> Fraction:
@@ -325,9 +354,8 @@ def marginalize(d: Dist, k: int) -> Dist:
         return uniform(k)
     if isinstance(d, FunctionDist):
         return marginalize(d.base, k)
-    if isinstance(d, Dense):
-        probs = d.table.probs.reshape(1 << (d.n - k), 1 << k).sum(axis=0)
-        return Dense(DenseDist(k, probs))
+    if isinstance(d, DenseDist):
+        return DenseDist(k, d.probs.reshape(1 << (d.n - k), 1 << k).sum(axis=0))
     raise ValueError(f"marginalization not supported for {type(d).__name__}")
 
 
@@ -342,9 +370,15 @@ def _eta_to_json(eta):
     return float(eta)
 
 
+# What _eta_to_json writes; int() alone would also take signs, spaces and "_".
+_ETA_FRACTION = re.compile("[0-9]+/[0-9]+")
+
+
 def _eta_from_json(v):
     if isinstance(v, str):
         try:
+            if not _ETA_FRACTION.fullmatch(v):
+                raise ValueError
             num, den = v.split("/")
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
@@ -395,12 +429,12 @@ def dist_to_json(d: Dist) -> dict:
             "kind": "product",
             "parts": [dist_to_json(p) for p in d.parts],
         }
-    if isinstance(d, Dense):
+    if isinstance(d, DenseDist):
         return {
             "schema": DIST_SCHEMA,
             "kind": "dense",
             "n": d.n,
-            "probs": [float(v) for v in d.table.probs],
+            "probs": d.probs.tolist(),
         }
     raise ValueError(f"cannot serialize {type(d).__name__}")
 
@@ -459,10 +493,7 @@ def dist_from_json(obj: dict) -> Dist:
     if kind == "product":
         return Product([dist_from_json(p) for p in obj.typed("parts", list, dict)])
     if kind == "dense":
-        import numpy as np
-
-        n, probs = obj.typed("n", int), obj.typed("probs", list, (int, float))
-        return Dense(DenseDist(n, np.array(probs, dtype=float)))
+        return DenseDist(obj.typed("n", int), obj.typed("probs", list, (int, float)))
     raise ValueError(f"unknown dist kind {kind!r}")
 
 

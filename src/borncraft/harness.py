@@ -219,11 +219,11 @@ def _run_t_noise(spec: ExperimentSpec) -> list[dict]:
             flip_mass = 0.0
             for idx in range(1 << (k + 1)):
                 x = BitVec(k + 1, idx)
-                diff = dd.prob(x) - float(model.eval(x))
+                diff = dd.eval(x) - float(model.eval(x))
                 point_err = max(point_err, abs(diff))
                 dist_tv += abs(diff)
                 if x[k] != x.take(k).dot(s):
-                    flip_mass += dd.prob(x)
+                    flip_mass += dd.eval(x)
             eta_err = abs(flip_mass - T_NOISE_RATE)
             max_prob_err = max(max_prob_err, point_err)
             max_eta_err = max(max_eta_err, eta_err)

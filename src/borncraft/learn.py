@@ -27,16 +27,6 @@ class LearnedAffine:
         return AffineUniform(self.subspace)
 
 
-@dataclass
-class LearnReport:
-    """Outcome record for one learning run."""
-
-    success: bool | None
-    tv_to_truth: float
-    queries: int
-    wall_time: float
-
-
 def recover_affine(samples: Sequence[BitVec]) -> LearnedAffine:
     """Shift all samples by the first one and span the differences.
 

@@ -12,12 +12,10 @@ from bisect import bisect_left
 import numpy as np
 
 from .circuit import Circuit
-from .gf2 import BitVec
+from .dist import _NORM_TOL, DenseDist
 
 MAX_STATE_QUBITS = 20
 MAX_UNITARY_QUBITS = 10
-
-_NORM_TOL = 1e-10
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -100,37 +98,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-class DenseDist:
-    """Explicit probability table over {0,1}^n."""
-
-    __slots__ = ("n", "probs", "_cum")
-
-    def __init__(self, n: int, probs: np.ndarray):
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (1 << n,):
-            raise ValueError("probability count must be 2^n")
-        if probs.min() < -1e-12:
-            raise ValueError("negative probability")
-        if abs(probs.sum() - 1.0) > _NORM_TOL:
-            raise ValueError("probabilities do not sum to 1")
-        self.n = n
-        self.probs = np.clip(probs, 0.0, None)
-        self._cum: np.ndarray | None = None
-
-    def prob(self, x: BitVec) -> float:
-        if x.n != self.n:
-            raise ValueError("length mismatch")
-        return float(self.probs[x.bits])
-
-    def sample(self, rng) -> BitVec:
-        if self._cum is None:
-            self._cum = np.cumsum(self.probs)
-            # The float sum can end below 1: draws past it go to the last
-            # positive outcome, never to a zero-probability one after it.
-            self._cum[np.flatnonzero(self.probs)[-1]:] = np.inf
-        return BitVec(self.n, int(self._cum.searchsorted(rng.random(), side="right")))
 
 
 def run_state(c: Circuit) -> StateVector:

@@ -126,7 +126,7 @@ def test_criterion_3_single_t_noise_rate():
             model = NoisyParity(s, T_NOISE_RATE)
             for idx in range(1 << (k + 1)):
                 x = BitVec(k + 1, idx)
-                worst = max(worst, abs(dd.prob(x) - float(model.eval(x))))
+                worst = max(worst, abs(dd.eval(x) - float(model.eval(x))))
     rng = trial_rng(3, 0, 0)
     s = BitVec.from_str("110101")
     dd = sv_distribution(parity_circuit(s, noisy=True))

@@ -500,6 +500,25 @@ def test_json_bad_eta_fraction_names_it(eta):
         dist_from_json({"schema": "dist_v1", "kind": "noisy_parity", "k": 2, "s": "1", "eta": eta})
 
 
+# int() on each side reads every one of these as 1/8
+@pytest.mark.parametrize("eta", [" 1_0/8_0 ", "-1/-8", "+1/8", "1/ 8"])
+def test_json_eta_is_digits_over_digits(eta):
+    dist_from_json({"schema": "dist_v1", "kind": "noisy_parity", "k": 2, "s": "1", "eta": "1/8"})
+    with pytest.raises(ValueError, match="field 'eta'"):
+        dist_from_json({"schema": "dist_v1", "kind": "noisy_parity", "k": 2, "s": "1", "eta": eta})
+
+
+@pytest.mark.parametrize("n,probs,match", [
+    (1, [math.nan, math.nan], "finite"),
+    (1, [math.nan, 1.0], "finite"),
+    (-1, [1.0], "up to 20 bits"),
+    (21, [1.0], "up to 20 bits"),
+])
+def test_json_dense_rejects_nan_and_n_out_of_range(n, probs, match):
+    with pytest.raises(ValueError, match=match):
+        dist_from_json({"schema": "dist_v1", "kind": "dense", "n": n, "probs": probs})
+
+
 # Every hex field, with a good value and a dist_v1 object around it; each is 3
 # bits wide except the table, which is 1 << 1 bits wide.
 _HEX_FIELDS = {

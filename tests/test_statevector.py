@@ -16,6 +16,7 @@ from borncraft.circuit import (
     random_circuit,
     route_nearest_neighbor,
 )
+from borncraft.dist import Dist, NoisyParity, tv
 from borncraft.gf2 import BitVec
 from borncraft.statevector import (
     DenseDist,
@@ -28,7 +29,7 @@ from borncraft.statevector import (
 
 def test_empty_circuit_is_point_mass():
     dd = sv_distribution(Circuit(3))
-    assert dd.prob(BitVec.zeros(3)) == 1.0
+    assert dd.eval(BitVec.zeros(3)) == 1.0
     assert dd.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -90,7 +91,7 @@ def test_parity_circuit_noiseless_support():
     for idx in range(16):
         x = BitVec(4, idx)
         expected = 0.125 if x[3] == (x[0] ^ x[2]) else 0.0
-        assert dd.prob(x) == pytest.approx(expected, abs=1e-12)
+        assert dd.eval(x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_parity_circuit_noisy_probabilities():
@@ -100,7 +101,7 @@ def test_parity_circuit_noisy_probabilities():
     for idx in range(8):
         x = BitVec(3, idx)
         expected = good if x[2] == (x[0] ^ x[1]) else bad
-        assert dd.prob(x) == pytest.approx(expected, abs=1e-12)
+        assert dd.eval(x) == pytest.approx(expected, abs=1e-12)
     assert good == pytest.approx(0.21339, abs=5e-6)
     assert bad == pytest.approx(0.03661, abs=5e-6)
 
@@ -110,7 +111,7 @@ def test_parity_circuit_padding_stays_zero():
     for idx in range(1 << 5):
         x = BitVec(5, idx)
         if x[3] or x[4]:
-            assert dd.prob(x) == 0.0
+            assert dd.eval(x) == 0.0
 
 
 def test_opnorm_identical_circuits():
@@ -189,8 +190,9 @@ def test_dense_sample_past_cumsum_end_skips_zero_mass():
 
 
 @st.composite
-def dense_tables(draw):
-    n = draw(st.integers(1, 5))
+def dense_tables(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 5))
     weights = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.1, 1.0, 3.0]),
                             min_size=1 << n, max_size=1 << n).filter(any))
     probs = np.array(weights) / sum(weights)
@@ -207,6 +209,28 @@ def test_dense_samples_land_in_support(table, us):
     rng = FixedDraws(us)
     for _ in us:
         assert probs[dd.sample(rng).bits] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_tables(), st.data())
+def test_dense_support_and_tv_match_the_table(table, data):
+    n, p = table
+    dd = DenseDist(n, p)
+    support = list(dd.support())
+    assert all(x.n == n for x in support)
+    assert [x.bits for x in support] == np.flatnonzero(p).tolist()
+    assert dd.support_size == len(support)
+    _, q = data.draw(dense_tables(n))
+    assert abs(tv(dd, DenseDist(n, q)) - 0.5 * np.abs(p - q).sum()) <= 1e-12
+
+
+def test_sv_distribution_is_a_dist():
+    for k in range(1, 5):
+        for s_bits in range(1 << k):
+            s = BitVec(k, s_bits)
+            dd = sv_distribution(parity_circuit(s, noisy=True))
+            assert type(dd) is DenseDist and isinstance(dd, Dist)
+            assert tv(dd, NoisyParity(s, T_NOISE_RATE)) < 1e-12
 
 
 def test_qubit_guards():
