@@ -234,7 +234,10 @@ class DenseDist(Dist):
     def __init__(self, n: int, probs: np.ndarray):
         if not 0 <= n <= _MAX_TABLE_BITS:
             raise ValueError(f"dense tables supported up to {_MAX_TABLE_BITS} bits, got {n}")
-        probs = np.asarray(probs, dtype=float)
+        try:
+            probs = np.asarray(probs, dtype=float)
+        except OverflowError:
+            raise ValueError("probs holds a number too large for a float") from None
         if probs.shape != (1 << n,):
             raise ValueError("probability count must be 2^n")
         # Both tests are written to fail on NaN; an infinity fails the sum.

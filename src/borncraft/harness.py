@@ -10,13 +10,17 @@ determinism contract.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .circuit import T_NOISE_RATE, parity_circuit, random_circuit, Gate, Circuit
@@ -25,6 +29,7 @@ from .dist import (
     NoisyParity,
     SampleOracle,
     StatOracle,
+    _of_type,
     tv,
 )
 from .gf2 import AffineSubspace, BitVec
@@ -34,6 +39,21 @@ from .statevector import MAX_UNITARY_QUBITS, opnorm_tv_check, sv_distribution
 RESULT_SCHEMA = "result_v1"
 
 WILSON_Z = 1.96
+
+# Caps on grid values and trials: one point at a cap (one trial, for the
+# per-trial caps) runs in seconds and under about 100 MB (Python 3.11, 2-vCPU VM).
+# recovery-curve: a trial costs about k*m*n; n = m = 1024, k = 1024 + 4096 takes ~2 s.
+MAX_RECOVERY_BITS = 1024
+MAX_RECOVERY_SAMPLES = 4096
+# t-noise: the exhaustive sweep takes under 1 s at k = 8, about 4x more per step.
+MAX_T_NOISE_BITS = 8
+# parity-tv: all pairs of 2^k parities; 0.2, 1.4-2.3, 14 and 130 s at k = 5, 6, 7, 8.
+MAX_PARITY_TV_BITS = 6
+# sq-vs-sample: a trial keeps min(budget, 2^k) slots and queries; 1.5 s, 85 MB at both caps.
+MAX_SQ_BITS = 30
+MAX_SQ_BUDGET = 500_000
+# One README recovery-curve point (n = 16) takes 9-13 s at 10^5 trials.
+MAX_TRIALS = 100_000
 
 
 class InfeasibleGridError(ValueError):
@@ -125,6 +145,14 @@ def _point(params: dict, successes: int, trials: int, mean_tv: float,
     return out
 
 
+def _sum_trials(spec: ExperimentSpec, point_index: int, trial) -> list:
+    """Column sums of trial(rng) over the point's trials, added left to right in
+    trial order. trial_rng is looked up on each call, so a wrapper set on the
+    module sees every trial."""
+    rows = [trial(trial_rng(spec.master_seed, point_index, t)) for t in range(spec.trials)]
+    return [functools.reduce(operator.add, column, 0) for column in zip(*rows)]
+
+
 # --- recovery-curve ---------------------------------------------------------
 
 
@@ -145,67 +173,33 @@ def recovery_trial(n: int, m: int, k: int, rng) -> tuple[bool, float, int]:
     return success, dist_tv, oracle.queries
 
 
-def _grid_value(grid: dict, key: str):
-    try:
-        return grid[key]
-    except KeyError:
-        raise ValueError(f"grid is missing key {key!r}") from None
-
-
-def _grid_list(grid: dict, key: str) -> list:
-    v = _grid_value(grid, key)
-    return list(v) if isinstance(v, (list, tuple)) else [v]
-
-
-def _run_recovery_curve(spec: ExperimentSpec) -> list[dict]:
-    grid = spec.grid
-    n = int(_grid_value(grid, "n"))
-    ms = [int(m) for m in _grid_list(grid, "m")]
-    if any(not 0 <= m <= n for m in ms):
-        raise InfeasibleGridError("subspace dimension out of range")
+def _run_recovery_curve(spec: ExperimentSpec, grid: dict) -> list[dict]:
+    n, ms, ks, offsets = grid["n"], grid["m"], grid["k"], grid["k_offsets"]
+    if any(m > n for m in ms):
+        raise InfeasibleGridError("grid key 'm' must not exceed 'n'")
+    if ks is not None and offsets is not None:
+        raise ValueError("grid keys 'k' and 'k_offsets' cannot both be given")
+    if ks is None and offsets is None:
+        raise ValueError("grid is missing key 'k' or 'k_offsets'")
+    if ks is None and any(m + off < 0 for m in ms for off in offsets):
+        raise InfeasibleGridError("grid key 'k_offsets' gives a negative sample count")
     points = []
-    point_index = 0
     for m in ms:
-        if "k" in grid:
-            ks = [int(k) for k in _grid_list(grid, "k")]
-        else:
-            ks = [m + int(off) for off in _grid_list(grid, "k_offsets")]
-        for k in ks:
-            if k < 0:
-                raise InfeasibleGridError("negative sample count")
-            successes = 0
-            tv_sum = 0.0
-            queries = 0
-            for t in range(spec.trials):
-                rng = trial_rng(spec.master_seed, point_index, t)
-                ok, dtv, q = recovery_trial(n, m, k, rng)
-                successes += ok
-                tv_sum += dtv
-                queries += q
-            points.append(
-                _point(
-                    {"n": n, "m": m, "k": k},
-                    successes,
-                    spec.trials,
-                    tv_sum / spec.trials,
-                    queries / spec.trials,
-                )
+        for k in ks if ks is not None else [m + off for off in offsets]:
+            successes, tv_sum, queries = _sum_trials(
+                spec, len(points), lambda rng: recovery_trial(n, m, k, rng)
             )
-            point_index += 1
+            points.append(_point({"n": n, "m": m, "k": k}, successes, spec.trials,
+                                 tv_sum / spec.trials, queries / spec.trials))
     return points
 
 
 # --- t-noise ----------------------------------------------------------------
 
 
-def _run_t_noise(spec: ExperimentSpec) -> list[dict]:
-    grid = spec.grid
-    ks = [int(k) for k in _grid_list(grid, "k")]
-    tol = float(grid.get("tol", 1e-12))
+def _run_t_noise(spec: ExperimentSpec, grid: dict) -> list[dict]:
     points = []
-    for k in ks:
-        if k < 1 or k > 8:
-            raise InfeasibleGridError("exhaustive parity sweep limited to k <= 8")
+    for k in grid["k"]:
         passing = 0
         tv_sum = 0.0
         max_prob_err = 0.0
@@ -228,31 +222,19 @@ def _run_t_noise(spec: ExperimentSpec) -> list[dict]:
             max_prob_err = max(max_prob_err, point_err)
             max_eta_err = max(max_eta_err, eta_err)
             tv_sum += dist_tv / 2
-            passing += point_err < tol
-        points.append(
-            _point(
-                {"k": k, "eta": T_NOISE_RATE, "tol": tol},
-                passing,
-                1 << k,
-                tv_sum / (1 << k),
-                0,
-                max_prob_err=max_prob_err,
-                max_eta_err=max_eta_err,
-            )
-        )
+            passing += point_err < grid["tol"]
+        points.append(_point({"k": k, "eta": T_NOISE_RATE, "tol": grid["tol"]}, passing, 1 << k,
+                             tv_sum / (1 << k), 0,
+                             max_prob_err=max_prob_err, max_eta_err=max_eta_err))
     return points
 
 
 # --- parity-tv --------------------------------------------------------------
 
 
-def _run_parity_tv(spec: ExperimentSpec) -> list[dict]:
-    grid = spec.grid
-    ks = [int(k) for k in _grid_list(grid, "k")]
+def _run_parity_tv(spec: ExperimentSpec, grid: dict) -> list[dict]:
     points = []
-    for k in ks:
-        if k < 1 or k > 8:
-            raise InfeasibleGridError("pairwise enumeration limited to k <= 8")
+    for k in grid["k"]:
         dists = [NoisyParity(BitVec(k, s), 0) for s in range(1 << k)]
         exact_half = 0
         pairs = 0
@@ -264,16 +246,8 @@ def _run_parity_tv(spec: ExperimentSpec) -> list[dict]:
                 pairs += 1
                 tv_sum += float(d)
                 exact_half += d * 2 == 1
-        points.append(
-            _point(
-                {"k": k},
-                exact_half,
-                pairs,
-                tv_sum / pairs,
-                0,
-                self_tv_zero=self_ok,
-            )
-        )
+        points.append(_point({"k": k}, exact_half, pairs, tv_sum / pairs, 0,
+                             self_tv_zero=self_ok))
     return points
 
 
@@ -305,56 +279,24 @@ def closure_parity_trial(k: int, delta: float, rng) -> tuple[bool, int]:
     return learned.subspace.same_set(_parity_subspace(s)), oracle.queries
 
 
-def _run_sq_vs_sample(spec: ExperimentSpec) -> list[dict]:
-    grid = spec.grid
-    k = int(_grid_value(grid, "k"))
-    tau = float(grid.get("tau", 0.1))
-    budget = int(grid.get("budget", 1000))
-    delta = float(grid.get("delta", 0.0625))
-    if k < 1 or k > 30:
-        raise InfeasibleGridError("k out of range")
-    sq_successes = 0
-    sq_queries = 0
-    for t in range(spec.trials):
-        ok, q = sq_trial(k, tau, budget, trial_rng(spec.master_seed, 0, t))
-        sq_successes += ok
-        sq_queries += q
-    cl_successes = 0
-    cl_queries = 0
-    for t in range(spec.trials):
-        ok, q = closure_parity_trial(k, delta, trial_rng(spec.master_seed, 1, t))
-        cl_successes += ok
-        cl_queries += q
+def _run_sq_vs_sample(spec: ExperimentSpec, grid: dict) -> list[dict]:
+    k, tau, budget, delta = grid["k"], grid["tau"], grid["budget"], grid["delta"]
+    sq_successes, sq_queries = _sum_trials(spec, 0, lambda rng: sq_trial(k, tau, budget, rng))
+    cl_successes, cl_queries = _sum_trials(spec, 1, lambda rng: closure_parity_trial(k, delta, rng))
     return [
-        _point(
-            {"k": k, "tau": tau, "budget": budget, "learner": "sq-correlation"},
-            sq_successes,
-            spec.trials,
-            0.0,
-            sq_queries / spec.trials,
-        ),
-        _point(
-            {"k": k, "delta": delta, "learner": "closure"},
-            cl_successes,
-            spec.trials,
-            0.0,
-            cl_queries / spec.trials,
-        ),
+        _point({"k": k, "tau": tau, "budget": budget, "learner": "sq-correlation"},
+               sq_successes, spec.trials, 0.0, sq_queries / spec.trials),
+        _point({"k": k, "delta": delta, "learner": "closure"},
+               cl_successes, spec.trials, 0.0, cl_queries / spec.trials),
     ]
 
 
 # --- opnorm-tv --------------------------------------------------------------
 
 
-def _run_opnorm_tv(spec: ExperimentSpec) -> list[dict]:
-    grid = spec.grid
-    ns = [int(n) for n in _grid_list(grid, "n")]
+def _run_opnorm_tv(spec: ExperimentSpec, grid: dict) -> list[dict]:
     points = []
-    for point_index, n in enumerate(ns):
-        if n < 1 or n > MAX_UNITARY_QUBITS:
-            raise InfeasibleGridError(
-                f"unitary comparison limited to {MAX_UNITARY_QUBITS} qubits"
-            )
+    for point_index, n in enumerate(grid["n"]):
         held = 0
         tv_sum = 0.0
         max_excess = -1.0
@@ -367,16 +309,8 @@ def _run_opnorm_tv(spec: ExperimentSpec) -> list[dict]:
             held += tvd <= opnorm
             tv_sum += tvd
             max_excess = max(max_excess, tvd - opnorm)
-        points.append(
-            _point(
-                {"n": n},
-                held,
-                spec.trials,
-                tv_sum / spec.trials,
-                0,
-                max_tv_minus_opnorm=max_excess,
-            )
-        )
+        points.append(_point({"n": n}, held, spec.trials, tv_sum / spec.trials, 0,
+                             max_tv_minus_opnorm=max_excess))
     return points
 
 
@@ -389,24 +323,87 @@ def _random_gate(rng, n: int) -> Gate:
     return Gate(kind, (rng.randrange(n),))
 
 
+# --- grid tables ------------------------------------------------------------
+
+
+def _int(key: str, v) -> int:
+    if _of_type(v, int):
+        return v
+    raise ValueError(f"grid key {key!r} must be an integer")
+
+
+def _ints(key: str, v) -> list[int]:
+    return [_int(key, x) for x in v] if isinstance(v, (list, tuple)) else [_int(key, v)]
+
+
+def _real(key: str, v) -> float:
+    # The comparison refuses NaN, infinities and ints too large for a float.
+    if _of_type(v, (int, float)) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ValueError(f"grid key {key!r} must be a finite number")
+
+
+class _Key(NamedTuple):
+    """A grid key's kind, the range [lo, hi] of its values, and its default (... if required)."""
+
+    kind: Callable
+    lo: float = -math.inf
+    hi: float = math.inf
+    default: object = ...
+
+
+def _check_grid(name: str, grid, table: dict) -> dict:
+    """The grid's values, typed and defaulted. A missing, unknown or wrong-typed
+    key raises ValueError; after that, a value out of range InfeasibleGridError."""
+    for key in grid:
+        if key not in table:
+            raise ValueError(f"grid key {key!r} is unknown to {name} (known: {', '.join(table)})")
+    values = {}
+    for key, t in table.items():
+        if key not in grid and t.default is ...:
+            raise ValueError(f"grid is missing key {key!r}")
+        values[key] = t.kind(key, grid[key]) if key in grid else t.default
+    for key, t in table.items():
+        v = values[key]
+        if v is not None and not all(t.lo <= x <= t.hi
+                                     for x in (v if isinstance(v, list) else [v])):
+            raise InfeasibleGridError(f"{name} grid key {key!r} must lie in [{t.lo}, {t.hi}]")
+    return values
+
+
 EXPERIMENTS = {
-    "recovery-curve": _run_recovery_curve,
-    "t-noise": _run_t_noise,
-    "parity-tv": _run_parity_tv,
-    "sq-vs-sample": _run_sq_vs_sample,
-    "opnorm-tv": _run_opnorm_tv,
+    "recovery-curve": (_run_recovery_curve, {
+        "n": _Key(_int, 0, MAX_RECOVERY_BITS),
+        "m": _Key(_ints, 0, MAX_RECOVERY_BITS),
+        "k": _Key(_ints, 0, MAX_RECOVERY_SAMPLES, default=None),
+        "k_offsets": _Key(_ints, -MAX_RECOVERY_BITS, MAX_RECOVERY_SAMPLES, default=None),
+    }),
+    "t-noise": (_run_t_noise, {
+        "k": _Key(_ints, 1, MAX_T_NOISE_BITS),
+        "tol": _Key(_real, default=1e-12),
+    }),
+    "parity-tv": (_run_parity_tv, {"k": _Key(_ints, 1, MAX_PARITY_TV_BITS)}),
+    "sq-vs-sample": (_run_sq_vs_sample, {
+        "k": _Key(_int, 1, MAX_SQ_BITS),
+        "tau": _Key(_real, default=0.1),
+        "budget": _Key(_int, hi=MAX_SQ_BUDGET, default=1000),
+        "delta": _Key(_real, default=0.0625),
+    }),
+    "opnorm-tv": (_run_opnorm_tv, {"n": _Key(_ints, 1, MAX_UNITARY_QUBITS)}),
 }
 
 
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute a registered experiment; deterministic given (spec, seed)."""
-    runner = EXPERIMENTS.get(spec.name)
-    if runner is None:
+    if spec.name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {spec.name!r} (known: {known})")
     if spec.trials < 1:
         raise ValueError("trials must be positive")
-    points = runner(spec)
+    if spec.trials > MAX_TRIALS:
+        raise InfeasibleGridError(f"trials must be at most {MAX_TRIALS}")
+    runner, table = EXPERIMENTS[spec.name]
+    points = runner(spec, _check_grid(spec.name, spec.grid, table))
     return ExperimentResult(
         experiment=spec.name,
         spec={"grid": spec.grid, "trials": spec.trials},

@@ -52,8 +52,8 @@ def closure_learn(oracle: SampleOracle, n: int, delta: float) -> LearnedAffine:
     shift)."""
     if n <= 0:
         raise ValueError("n must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    if not 0 < delta < 1 or 1.0 / delta == math.inf:
+        raise ValueError("delta must lie in (0, 1), with 1/delta finite")
     k = n + math.ceil(math.log2(1.0 / delta))
     samples = []
     for _ in range(k):

@@ -1,6 +1,8 @@
 """CLI behavior: commands, output formats, exit codes."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -256,3 +258,43 @@ def test_main_in_one_process_matches_separate_processes(parity_file, noisy_file,
         separate.append((proc.returncode, _comparable(proc.stdout), proc.stderr))
     assert in_process == separate
     assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("name,grid,code,key", [
+    ("sq-vs-sample", '{"k": 3, "tau": 0.1, "budget": [1]}', 2, "budget"),
+    ("parity-tv", '{"k": {"a": 1}}', 2, "k"),
+    ("recovery-curve", '{"n": 1e9, "m": [4], "k_offsets": [0]}', 2, "n"),
+    ("recovery-curve", '{"n": 1000000000, "m": [4], "k_offsets": [0]}', 3, "n"),
+    ("recovery-curve", '{"n": 6, "m": [2], "k": [3], "k_offsets": [0]}', 2, "k_offsets"),
+    ("opnorm-tv", '{"n": [true]}', 2, "n"),
+    ("opnorm-tv", '{"n": [2.7], "bogus": 1}', 2, "bogus"),
+    ("t-noise", '{"k": 2, "tol": "nan"}', 2, "tol"),
+    ("t-noise", '{"k": 2, "tol": NaN}', 2, "tol"),
+    ("opnorm-tv", '{"n": "abc"}', 2, "n"),
+    ("parity-tv", '{"k": 7}', 3, "k"),
+])
+def test_experiment_bad_grid_one_error_line_naming_key(capsys, name, grid, code, key):
+    assert main(["experiment", name, "--grid", grid, "--trials", "1"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and f"'{key}'" in err
+
+
+def test_experiment_trials_over_cap_exit_3(capsys):
+    assert main([
+        "experiment", "parity-tv", "--grid", '{"k": 2}', "--trials", "100000000000",
+    ]) == 3
+    assert "trials" in capsys.readouterr().err
+
+
+def test_learn_closure_subnormal_delta_exit_2(parity_file, capsys):
+    # 1/delta overflows to infinity, so the sample count cannot be formed.
+    assert main(["learn", "closure", "--circuit", parity_file, "--delta", "5e-324"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "delta" in err
+
+
+def test_readme_recovery_curve_example_runs():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (grid,) = re.findall(r"borncraft experiment recovery-curve \\\n\s*--grid '([^']*)'", readme)
+    assert main(["experiment", "recovery-curve", "--grid", grid, "--trials", "2"]) == 0

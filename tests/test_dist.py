@@ -662,3 +662,9 @@ def test_stat_oracle_validation():
         StatOracle(uniform(2), 0.1, "bogus")
     with pytest.raises(ValueError):
         StatOracle(uniform(2), 0.1, "empirical")
+
+
+def test_json_dense_probs_too_large_for_a_float():
+    obj = json.loads('{"schema": "dist_v1", "kind": "dense", "n": 0, "probs": [1%s]}' % ("0" * 400))
+    with pytest.raises(ValueError, match="probs"):
+        dist_from_json(obj)

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
 from borncraft.harness import (
     EXPERIMENTS,
+    MAX_PARITY_TV_BITS,
     ExperimentSpec,
     InfeasibleGridError,
     recovery_trial,
@@ -199,3 +201,83 @@ def test_recovery_trial_builds_no_basis_matrix(monkeypatch):
     for m, k in ((0, 0), (4, 6), (8, 8), (12, 20)):
         ok, _, queries = recovery_trial(16, m, k, trial_rng(0, m, k))
         assert queries == k + 1
+
+
+# Grids the table refuses before any trial runs: (experiment, grid, the key
+# the message must name). Each ran, or ended in a TypeError, before the table.
+_MALFORMED_GRIDS = [
+    ("sq-vs-sample", {"k": 3, "tau": 0.1, "budget": [1]}, "budget"),
+    ("parity-tv", {"k": {"a": 1}}, "k"),
+    ("recovery-curve", {"n": 1e9, "m": [4], "k_offsets": [0]}, "n"),
+    ("opnorm-tv", {"n": [True]}, "n"),
+    ("opnorm-tv", {"n": [2.7]}, "n"),
+    ("opnorm-tv", {"n": 16.0}, "n"),
+    ("opnorm-tv", {"n": [2], "bogus": 1}, "bogus"),
+    ("t-noise", {"k": 2, "tol": "nan"}, "tol"),
+    ("t-noise", {"k": 2, "tol": float("nan")}, "tol"),
+    ("t-noise", {"k": 2, "tol": float("inf")}, "tol"),
+    ("t-noise", {"k": 2, "tol": 10 ** 400}, "tol"),
+    ("t-noise", {"k": "3"}, "k"),
+    ("recovery-curve", {"n": "abc", "m": 2, "k": [3]}, "n"),
+    ("sq-vs-sample", {"k": 3, "delta": None}, "delta"),
+]
+
+
+@pytest.mark.parametrize("name,grid,key", _MALFORMED_GRIDS)
+def test_malformed_grid_is_value_error_naming_key(name, grid, key):
+    with pytest.raises(ValueError, match=f"'{key}'") as exc:
+        run(ExperimentSpec(name, grid, 1, 0))
+    assert not isinstance(exc.value, InfeasibleGridError)
+
+
+def test_k_and_k_offsets_together_are_refused():
+    grid = {"n": 6, "m": [2], "k": [3], "k_offsets": [0]}
+    with pytest.raises(ValueError, match="'k' and 'k_offsets'") as exc:
+        run(ExperimentSpec("recovery-curve", grid, 1, 0))
+    assert not isinstance(exc.value, InfeasibleGridError)
+
+
+@pytest.mark.parametrize("name,grid,trials", [
+    ("recovery-curve", {"n": 10 ** 9, "m": [4], "k_offsets": [0]}, 1),
+    ("recovery-curve", {"n": 16, "m": [4], "k": [10 ** 9]}, 1),
+    ("recovery-curve", {"n": 16, "m": [4], "k_offsets": [-5]}, 1),
+    ("recovery-curve", {"n": 16, "m": [4], "k": [3]}, 10 ** 11),
+    ("parity-tv", {"k": [2, MAX_PARITY_TV_BITS + 1]}, 1),
+    ("sq-vs-sample", {"k": 30, "budget": 10 ** 12}, 1),
+])
+def test_caps_refuse_before_any_trial(name, grid, trials):
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleGridError):
+        run(ExperimentSpec(name, grid, trials, 0))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_shared_trial_loop_sums_in_trial_order(monkeypatch):
+    # Each trial's stream comes from trial_rng right before the trial, and the
+    # result's sums are those of the trials it saw.
+    import borncraft.harness as h
+
+    calls = []
+    orig_rng, orig_trial = h.trial_rng, h.recovery_trial
+
+    def trial_rng(*args):
+        calls.append(("rng", args))
+        return orig_rng(*args)
+
+    def recovery_trial(n, m, k, rng):
+        out = orig_trial(n, m, k, rng)
+        calls.append(("trial", out))
+        return out
+
+    monkeypatch.setattr(h, "trial_rng", trial_rng)
+    monkeypatch.setattr(h, "recovery_trial", recovery_trial)
+    result = run(ExperimentSpec("recovery-curve", {"n": 6, "m": [2], "k": [2, 3]}, 4, 9))
+    assert [kind for kind, _ in calls] == ["rng", "trial"] * 8
+    assert [args for kind, args in calls if kind == "rng"] == [
+        (9, p, t) for p in range(2) for t in range(4)
+    ]
+    outs = [out for kind, out in calls if kind == "trial"]
+    for i, p in enumerate(result.points):
+        mine = outs[4 * i:4 * i + 4]
+        assert p["success_rate"] == sum(ok for ok, _, _ in mine) / 4
+        assert p["queries"] == sum(q for _, _, q in mine) / 4

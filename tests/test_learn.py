@@ -98,6 +98,13 @@ def test_closure_learn_validation():
         closure_learn(oracle, 3, 1.0)
 
 
+def test_closure_learn_subnormal_delta_is_value_error():
+    # 1/delta overflows to infinity, whose ceiling is no integer.
+    oracle = SampleOracle(AffineUniform(AffineSubspace.full(3)), random.Random(3))
+    with pytest.raises(ValueError, match="delta"):
+        closure_learn(oracle, 3, 5e-324)
+
+
 def test_closure_learn_deterministic_given_samples():
     rng = random.Random(10)
     sub = AffineSubspace.random(rng, 6, 3)
