@@ -3,7 +3,9 @@ SWAP routing onto a line, and a line-oriented text format."""
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -13,6 +15,22 @@ GATE_ARITY = {"H": 1, "S": 1, "T": 1, "CNOT": 2, "SWAP": 2}
 
 # Flip probability of the single-T gadget H.T.H acting on a basis state.
 T_NOISE_RATE = math.sin(math.pi / 8) ** 2
+
+# Chance that random_circuit puts a two-qubit gate on a wire with a free neighbor.
+_P_TWO = 0.4
+
+# What format_circuit writes for a count or an index; int() alone would also
+# take "+", "_" and non-ASCII digits.
+_INT = re.compile("-?[0-9]+")
+
+
+# Qubit fields repeat across distinct gate lines (a 128-qubit file has ~700
+# distinct lines but 128 distinct indices), so each field is checked once.
+@functools.lru_cache(maxsize=1 << 12)
+def _read_int(field: str) -> int:
+    if not _INT.fullmatch(field):
+        raise ValueError(f"{field!r} is not a decimal integer")
+    return int(field)
 
 
 @dataclass(frozen=True)
@@ -163,8 +181,7 @@ def route_nearest_neighbor(c: Circuit) -> Circuit:
     return Circuit(c.n, out)
 
 
-def random_circuit(rng, n: int, n_layers: int, p_two: float = 0.4,
-                   allow_t: bool = False) -> Circuit:
+def random_circuit(rng, n: int, n_layers: int, allow_t: bool = False) -> Circuit:
     """Random nearest-neighbor circuit with at most n_layers layers."""
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -178,7 +195,7 @@ def random_circuit(rng, n: int, n_layers: int, p_two: float = 0.4,
             if q in used:
                 continue
             neighbors = [p for p in (q - 1, q + 1) if 0 <= p < n and p not in used]
-            if neighbors and rng.random() < p_two:
+            if neighbors and rng.random() < _P_TWO:
                 p = neighbors[0] if len(neighbors) == 1 else neighbors[rng.getrandbits(1)]
                 if rng.getrandbits(1):
                     gates.append(Gate.cnot(q, p))
@@ -220,7 +237,7 @@ def parse_circuit(text: str) -> Circuit:
             if parts[0] != "qubits" or len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'qubits N' header")
             try:
-                n = int(parts[1])
+                n = _read_int(parts[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad qubit count {parts[1]!r}") from None
             if n < 0:
@@ -233,7 +250,7 @@ def parse_circuit(text: str) -> Circuit:
         if len(parts) != 1 + arity:
             raise ValueError(f"line {lineno}: {kind} takes {arity} qubit(s)")
         try:
-            qubits = tuple(int(p) for p in parts[1:])
+            qubits = tuple(map(_read_int, parts[1:]))
         except ValueError:
             raise ValueError(f"line {lineno}: bad qubit index") from None
         try:

@@ -39,27 +39,18 @@ def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args.circuit_file)
     rng = random.Random(args.seed)
     if args.backend == "stab":
-        tableau = simulate_clifford(circuit)
-        if args.samples:
-            for _ in range(args.samples):
-                print(tableau.sample(rng).to_str())
-            return 0
-        payload = {
-            "backend": "stab",
-            "n": circuit.n,
-            "distribution": dist_to_json(AffineUniform(tableau.support())),
-        }
+        dist = AffineUniform(simulate_clifford(circuit).support())
     else:
-        dd = sv_distribution(circuit)
-        if args.samples:
-            for _ in range(args.samples):
-                print(dd.sample(rng).to_str())
-            return 0
-        payload = {
-            "backend": "sv",
-            "n": circuit.n,
-            "probabilities": [float(p) for p in dd.probs],
-        }
+        dist = sv_distribution(circuit)
+    if args.samples:
+        for _ in range(args.samples):
+            print(dist.sample(rng).to_str())
+        return 0
+    payload = {"backend": args.backend, "n": circuit.n}
+    if args.backend == "stab":
+        payload["distribution"] = dist_to_json(dist)
+    else:
+        payload["probabilities"] = [float(p) for p in dist.probs]
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 

@@ -113,9 +113,7 @@ class NoisyParity(Dist):
     below 1/2, where the parity bit still carries signal.
     """
 
-    def __init__(self, s: BitVec, eta, k: int | None = None):
-        if k is not None and k != s.n:
-            raise ValueError("k does not match len(s)")
+    def __init__(self, s: BitVec, eta):
         if not 0 <= eta < 1:
             raise ValueError("eta must lie in [0, 1)")
         self.s = s
@@ -303,12 +301,6 @@ def tv(p: Dist, q: Dist):
         for x in q.support():
             if x.bits not in seen:
                 total += q.eval(x)
-        return total / 2
-    if p.n <= _MAX_TABLE_BITS:
-        total = 0.0
-        for idx in range(1 << p.n):
-            x = BitVec(p.n, idx)
-            total += abs(float(p.eval(x)) - float(q.eval(x)))
         return total / 2
     raise ValueError("tv infeasible for this pair of distributions")
 
@@ -538,12 +530,6 @@ def _expectation(dist: Dist, phi: Callable[[BitVec], float]):
     if isinstance(phi, ParityCorrelation):
         if isinstance(dist, NoisyParity) and dist.k == phi.t.n:
             return (1 - 2 * dist.eta) * (1 if dist.s == phi.t else 0)
-        if isinstance(dist, FunctionDist) and dist.base.n == phi.t.n:
-            total = 0
-            for x in dist.base.support():
-                sign = 1 - 2 * (dist.table[x.bits] ^ x.dot(phi.t))
-                total += dist.base.eval(x) * sign
-            return total
     if dist.support_size > _SUPPORT_BUDGET:
         raise ValueError("support too large for an exact expectation")
     total = 0

@@ -195,26 +195,10 @@ class BitMatrix:
             rows = vs[0].n
         if any(v.n != rows for v in vs):
             raise ValueError("columns have mixed lengths")
-        data = [0] * rows
-        for j, v in enumerate(vs):
-            bits = v.bits
-            while bits:
-                low = bits & -bits
-                data[low.bit_length() - 1] |= 1 << j
-                bits ^= low
-        return cls(rows, len(vs), data)
+        return cls(len(vs), rows, [v.bits for v in vs]).transpose()
 
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, self.data[i])
-
-    def col(self, j: int) -> BitVec:
-        if not 0 <= j < self.cols:
-            raise IndexError("column index out of range")
-        bits = 0
-        for i in range(self.rows):
-            if (self.data[i] >> j) & 1:
-                bits |= 1 << i
-        return BitVec(self.rows, bits)
 
     def transpose(self) -> "BitMatrix":
         # Unpack to one byte per bit, transpose, repack: O(rows) Python steps.
@@ -277,7 +261,7 @@ def in_affine_span(r: BitMatrix, t: BitVec, x: BitVec) -> bool:
     """True iff x lies in {r.b + t : b}, i.e. x + t is in the column span of r."""
     if r.rows != x.n or t.n != x.n:
         raise ValueError("dimension mismatch")
-    pivots = _build_pivots(r.col(j).bits for j in range(r.cols))
+    pivots = _build_pivots(r.transpose().data)
     return _reduce(pivots, x.bits ^ t.bits) == 0
 
 

@@ -112,10 +112,11 @@ def trial_rng(master_seed: int, point_index: int, trial_index: int) -> random.Ra
     return random.Random(seed)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -123,10 +124,10 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def wilson_sigma(successes: int, trials: int, z: float = WILSON_Z) -> float:
+def wilson_sigma(successes: int, trials: int) -> float:
     """Half-width of the Wilson interval expressed per standard score."""
-    lo, hi = wilson_interval(successes, trials, z)
-    return (hi - lo) / (2 * z)
+    lo, hi = wilson_interval(successes, trials)
+    return (hi - lo) / (2 * WILSON_Z)
 
 
 def _point(params: dict, successes: int, trials: int, mean_tv: float,

@@ -1,7 +1,7 @@
 """Stabilizer-tableau simulation of Clifford circuits.
 
 The computational-basis support of any stabilized state is an affine subspace
-with uniform probabilities; `support` extracts it exactly from the tableau.
+with uniform probabilities; `StabTableau.support` extracts it exactly.
 """
 
 from __future__ import annotations
@@ -150,7 +150,3 @@ def simulate_clifford(c: Circuit) -> StabTableau:
     for g in c.gates():
         tab.apply(g)
     return tab
-
-
-def support(tab: StabTableau) -> AffineSubspace:
-    return tab.support()

@@ -37,28 +37,15 @@ def _apply_1q(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _index(ndim: int, assignments: dict[int, int]) -> tuple:
+def _index(ndim: int, axes: list[int], values: tuple[int, int]) -> tuple:
     idx: list = [slice(None)] * ndim
-    for axis, v in assignments.items():
+    for axis, v in zip(axes, values):
         idx[axis] = v
     return tuple(idx)
 
 
-def _swap_blocks(arr: np.ndarray, i: tuple, j: tuple) -> None:
-    """Exchange the blocks arr[i] and arr[j] in place."""
-    tmp = arr[i].copy()
-    arr[i] = arr[j]
-    arr[j] = tmp
-
-
-def _apply_cnot(arr: np.ndarray, ac: int, at: int) -> np.ndarray:
-    _swap_blocks(arr, _index(arr.ndim, {ac: 1, at: 0}), _index(arr.ndim, {ac: 1, at: 1}))
-    return arr
-
-
-def _apply_swap(arr: np.ndarray, aa: int, ab: int) -> np.ndarray:
-    _swap_blocks(arr, _index(arr.ndim, {aa: 0, ab: 1}), _index(arr.ndim, {aa: 1, ab: 0}))
-    return arr
+# The two blocks each two-qubit gate exchanges, as values of its two qubits.
+_2Q_BLOCKS = {"CNOT": ((1, 0), (1, 1)), "SWAP": ((0, 1), (1, 0))}
 
 
 def _apply_gate(arr: np.ndarray, kind: str, axes: list[int]) -> np.ndarray:
@@ -67,9 +54,11 @@ def _apply_gate(arr: np.ndarray, kind: str, axes: list[int]) -> np.ndarray:
     work in place."""
     if kind in _1Q:
         return _apply_1q(arr, _1Q[kind], axes[0])
-    if kind == "CNOT":
-        return _apply_cnot(arr, axes[0], axes[1])
-    return _apply_swap(arr, axes[0], axes[1])
+    i, j = (_index(arr.ndim, axes, values) for values in _2Q_BLOCKS[kind])
+    tmp = arr[i].copy()
+    arr[i] = arr[j]
+    arr[j] = tmp
+    return arr
 
 
 def _add_qubit(arr: np.ndarray, qubits: list[int], q: int) -> np.ndarray:
@@ -81,27 +70,8 @@ def _add_qubit(arr: np.ndarray, qubits: list[int], q: int) -> np.ndarray:
     return out
 
 
-class StateVector:
-    """2^n complex amplitudes of an n-qubit pure state."""
-
-    __slots__ = ("n", "amplitudes")
-
-    def __init__(self, n: int, amplitudes: np.ndarray):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (1 << n,):
-            raise ValueError("amplitude count must be 2^n")
-        norm = np.linalg.norm(amplitudes)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {norm} drifted beyond tolerance")
-        self.n = n
-        self.amplitudes = amplitudes
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def run_state(c: Circuit) -> StateVector:
-    """Apply the circuit to |0...0>, checking norm after every layer.
+def run_state(c: Circuit) -> np.ndarray:
+    """2^n amplitudes of the circuit applied to |0...0>, norm-checked per layer.
 
     Only the qubits some gate has touched (and at least the lowest
     _MIN_SIM_QUBITS) are simulated: axis a of the state holds the a-th highest
@@ -128,12 +98,12 @@ def run_state(c: Circuit) -> StateVector:
         state = np.zeros((2,) * n, dtype=complex)
         state[tuple(slice(None) if q in qubits else 0 for q in reversed(range(n)))] = arr
         arr = state
-    return StateVector(n, arr.reshape(-1))
+    return arr.reshape(-1)
 
 
 def sv_distribution(c: Circuit) -> DenseDist:
     """Exact Born distribution of the circuit output."""
-    return DenseDist(c.n, run_state(c).probabilities())
+    return DenseDist(c.n, np.abs(run_state(c)) ** 2)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

@@ -188,6 +188,13 @@ def test_text_format_errors():
     ("qubits 2\nH 0\nH 0\nH x\n", "line 4: bad qubit index"),
     ("qubits 2\nH 1\nH -1\n", "line 3: negative qubit index"),
     ("qubits x\n", "line 1: bad qubit count 'x'"),
+    # int() also takes "_", a sign and non-ASCII digits; the format writes none.
+    ("qubits 1_0\nH 9\nCNOT +1 \u0663\n", "line 1: bad qubit count '1_0'"),
+    ("qubits +2\nH 0\n", "line 1: bad qubit count '+2'"),
+    ("qubits \u0663\nH 0\n", "line 1: bad qubit count '\u0663'"),
+    ("qubits 10\nH 9\nH 9\nCNOT +1 3\n", "line 4: bad qubit index"),
+    ("qubits 10\nH 0\nH 0\nH 1_0\n", "line 4: bad qubit index"),
+    ("qubits 10\nH 0\nH 0\nCNOT 1 \u0663\n", "line 4: bad qubit index"),
     ("qubits 2\nH 0\nH 0\nCNOT 0 5\n", "qubit 5 out of range for 2-qubit circuit"),
 ])
 def test_text_format_error_messages_with_repeated_lines(text, message):

@@ -29,7 +29,7 @@ from borncraft.dist import (
     uniform,
 )
 from borncraft.gf2 import AffineSubspace, BitVec
-from borncraft.stabilizer import simulate_clifford, support
+from borncraft.stabilizer import simulate_clifford
 from borncraft.statevector import DenseDist, sv_distribution
 
 
@@ -348,8 +348,8 @@ def test_padding_keeps_depth_while_widening():
         wide = parity_circuit(s, noisy=False, pad=pad)
         assert depth(wide) == depth(base)
         assert wide.n == k + pad
-        sub_wide = support(simulate_clifford(wide))
-        model = embed(AffineUniform(support(simulate_clifford(base))), wide.n)
+        sub_wide = simulate_clifford(wide).support()
+        model = embed(AffineUniform(simulate_clifford(base).support()), wide.n)
         for x in sub_wide.elements():
             assert model.eval(x) == Fraction(1, sub_wide.size)
 
@@ -448,6 +448,20 @@ def test_json_roundtrip_property(d, rng):
     for _ in range(8):
         x = BitVec.random(rng, d.n)
         assert back.eval(x) == d.eval(x)
+
+
+# No support has more than 2^n points. So for n <= 20 two supports together
+# stay within tv's enumeration budget of 2^22, and tv needs no other path.
+@settings(max_examples=200, deadline=None)
+@given(serializable_dists())
+def test_support_size_at_most_two_to_the_n(d):
+    assert d.support_size <= 1 << d.n
+
+
+def test_tv_refuses_supports_beyond_the_budget():
+    wide = NoisyParity(BitVec.zeros(21), Fraction(1, 4))  # 2^22 points
+    with pytest.raises(ValueError, match="infeasible"):
+        tv(wide, PointMass(BitVec.zeros(22)))
 
 
 # The JSON types each dist_v1 field accepts; bool and float count apart from int.

@@ -191,13 +191,15 @@ def test_registry_names():
 
 def test_recovery_trial_builds_no_basis_matrix(monkeypatch):
     # The trial works on packed columns only; the row-major basis matrix is
-    # built on demand, for serialization.
+    # built on demand, for serialization, by from_cols or the basis property,
+    # and both go through transpose.
     from borncraft.gf2 import BitMatrix
 
-    def from_cols(*args, **kwargs):
-        raise AssertionError("BitMatrix.from_cols called")
+    def fail(*args, **kwargs):
+        raise AssertionError("a basis matrix was built")
 
-    monkeypatch.setattr(BitMatrix, "from_cols", from_cols)
+    monkeypatch.setattr(BitMatrix, "from_cols", fail)
+    monkeypatch.setattr(BitMatrix, "transpose", fail)
     for m, k in ((0, 0), (4, 6), (8, 8), (12, 20)):
         ok, _, queries = recovery_trial(16, m, k, trial_rng(0, m, k))
         assert queries == k + 1

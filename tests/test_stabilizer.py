@@ -15,7 +15,6 @@ from borncraft.stabilizer import (
     StabTableau,
     _pauli_mul,
     simulate_clifford,
-    support,
 )
 from borncraft.statevector import sv_distribution
 
@@ -100,7 +99,7 @@ def test_t_gate_rejected():
 
 def test_parity_circuit_support():
     s = BitVec.from_str("101")
-    sub = support(simulate_clifford(parity_circuit(s, noisy=False)))
+    sub = simulate_clifford(parity_circuit(s, noisy=False)).support()
     members = {x.bits for x in sub.elements()}
     expected = set()
     for xb in range(8):
@@ -114,7 +113,7 @@ def test_support_probabilities_sum_to_one_exactly():
     rng = random.Random(19)
     for _ in range(30):
         c = random_circuit(rng, rng.randrange(1, 7), rng.randrange(0, 15))
-        sub = support(simulate_clifford(c))
+        sub = simulate_clifford(c).support()
         assert Fraction(1, sub.size) * sub.size == 1
         assert sub.size == len({x.bits for x in sub.elements()})
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borncraft import statevector
 from borncraft.circuit import (
     Circuit,
     Gate,
@@ -244,8 +245,15 @@ def test_run_state_normalized():
     rng = random.Random(2)
     for _ in range(20):
         c = random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 8), allow_t=True)
-        sv = run_state(c)
-        assert np.linalg.norm(sv.amplitudes) == pytest.approx(1.0, abs=1e-10)
+        amplitudes = run_state(c)
+        assert amplitudes.shape == (1 << c.n,)
+        assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_run_state_raises_on_norm_drift(monkeypatch):
+    monkeypatch.setitem(statevector._1Q, "H", 1.01 * statevector._1Q["H"])
+    with pytest.raises(ValueError, match="norm drifted"):
+        run_state(Circuit(2, [Gate.h(0)]))
 
 
 # --- reduced-state simulation against the full-state reference -------------------
