@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -19,16 +18,19 @@ T_NOISE_RATE = math.sin(math.pi / 8) ** 2
 # Chance that random_circuit puts a two-qubit gate on a wire with a free neighbor.
 _P_TWO = 0.4
 
-# What format_circuit writes for a count or an index; int() alone would also
-# take "+", "_" and non-ASCII digits.
-_INT = re.compile("-?[0-9]+")
+# The tableau holds 4n^2 bits and `support` does O(n^2) row operations on
+# n-bit rows, so this cap keeps one simulation to seconds and ~100 MB. No
+# backend simulates more qubits, so parse_circuit refuses larger counts.
+MAX_TABLEAU_QUBITS = 4096
 
 
 # Qubit fields repeat across distinct gate lines (a 128-qubit file has ~700
-# distinct lines but 128 distinct indices), so each field is checked once.
+# distinct lines but 128 distinct indices); a cache hit costs less than int().
 @functools.lru_cache(maxsize=1 << 12)
 def _read_int(field: str) -> int:
-    if not _INT.fullmatch(field):
+    # What format_circuit writes for a count or an index; int() alone would
+    # also take "+", "_" and non-ASCII digits (it still refuses "--1").
+    if not (field.isascii() and field.lstrip("-").isdigit()):
         raise ValueError(f"{field!r} is not a decimal integer")
     return int(field)
 
@@ -242,6 +244,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise ValueError(f"line {lineno}: bad qubit count {parts[1]!r}") from None
             if n < 0:
                 raise ValueError(f"line {lineno}: negative qubit count")
+            if n > MAX_TABLEAU_QUBITS:  # before _pack allocates n entries
+                raise ValueError(f"line {lineno}: circuits limited to {MAX_TABLEAU_QUBITS} qubits")
             continue
         kind = parts[0].upper()
         arity = GATE_ARITY.get(kind)

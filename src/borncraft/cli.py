@@ -64,12 +64,11 @@ def _cmd_learn_closure(args) -> int:
     start = time.perf_counter()
     learned = closure_learn(oracle, circuit.n, args.delta)
     elapsed = time.perf_counter() - start
-    learned_dist = learned.dist()
     payload = {
-        "learned": dist_to_json(learned_dist),
-        "samples_used": learned.samples_used,
+        "learned": dist_to_json(learned),
+        "samples_used": oracle.queries,
         "success": learned.subspace.same_set(truth.subspace),
-        "tv_to_truth": float(tv(learned_dist, truth)),
+        "tv_to_truth": float(tv(learned, truth)),
         "queries": oracle.queries,
         "wall_time_s": elapsed,
     }

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import AffineSubspace, BitMatrix, BitVec, max_independent_subset
+from .gf2 import AffineSubspace, BitMatrix, BitVec
 
 DIST_SCHEMA = "dist_v1"
 
@@ -86,24 +86,9 @@ def uniform(n: int) -> AffineUniform:
     return AffineUniform(AffineSubspace.full(n))
 
 
-class PointMass(Dist):
-    def __init__(self, value: BitVec):
-        self.value = value
-        self.n = value.n
-
-    def eval(self, x: BitVec) -> Fraction:
-        self._check_len(x)
-        return Fraction(1) if x == self.value else Fraction(0)
-
-    def sample(self, rng) -> BitVec:
-        return self.value
-
-    @property
-    def support_size(self) -> int:
-        return 1
-
-    def support(self) -> Iterator[BitVec]:
-        yield self.value
+def PointMass(value: BitVec) -> AffineUniform:
+    """All mass on value: uniform on the 0-dimensional subspace {value}."""
+    return AffineUniform(AffineSubspace.point(value))
 
 
 class NoisyParity(Dist):
@@ -335,16 +320,8 @@ def marginalize(d: Dist, k: int) -> Dist:
         if len(kept) == 1:
             return kept[0]
         return Product(kept)
-    if isinstance(d, PointMass):
-        return PointMass(d.value.take(k))
     if isinstance(d, AffineUniform):
-        sub = d.subspace
-        cols = [BitVec(k, c) for c in sub._cols]
-        pivots: dict[int, int] = {}
-        idx = max_independent_subset(cols, pivots)
-        return AffineUniform(
-            AffineSubspace._from_cols(k, [cols[i].bits for i in idx], sub.shift.bits, pivots)
-        )
+        return AffineUniform(AffineSubspace._span(k, d.subspace._cols, d.subspace.shift.bits))
     if isinstance(d, NoisyParity):
         return uniform(k)
     if isinstance(d, FunctionDist):
@@ -411,13 +388,6 @@ def dist_to_json(d: Dist) -> dict:
             "table": format(packed, "x"),
             "base": dist_to_json(d.base),
         }
-    if isinstance(d, PointMass):
-        return {
-            "schema": DIST_SCHEMA,
-            "kind": "point_mass",
-            "n": d.n,
-            "value": d.value.to_hex(),
-        }
     if isinstance(d, Product):
         return {
             "schema": DIST_SCHEMA,
@@ -483,7 +453,7 @@ def dist_from_json(obj: dict) -> Dist:
         packed = _hex_field("table", 1 << base.n, obj.typed("table", str)).bits
         table = [(packed >> i) & 1 for i in range(1 << base.n)]
         return FunctionDist(table, base)
-    if kind == "point_mass":
+    if kind == "point_mass":  # no longer written: a point mass is an affine_uniform of dim 0
         return PointMass(_hex_field("value", obj.typed("n", int), obj.typed("value", str)))
     if kind == "product":
         return Product([dist_from_json(p) for p in obj.typed("parts", list, dict)])

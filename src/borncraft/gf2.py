@@ -241,19 +241,17 @@ def rank(m: BitMatrix) -> int:
     return len(_build_pivots(m.data))
 
 
-def max_independent_subset(vs: Sequence[BitVec],
-                           pivots: dict[int, int] | None = None) -> list[int]:
+def max_independent_subset(vs: Sequence[BitVec]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
     Pivoting is by lowest set bit, first-seen vector; the result is
-    deterministic and the indexed vectors span span(vs). An empty dict passed
-    as pivots receives the elimination's pivot rows, which is the pivot dict
-    of the indexed vectors (see AffineSubspace._from_cols).
+    deterministic and the indexed vectors span span(vs). AffineSubspace._span
+    keeps the same subset of plain ints.
     """
     if len({v.n for v in vs}) > 1:
         raise ValueError("vectors have mixed lengths")
     out: list[int] = []
-    _build_pivots([v.bits for v in vs], pivots, out)
+    _build_pivots([v.bits for v in vs], None, out)
     return out
 
 
@@ -333,6 +331,16 @@ class AffineSubspace:
         sub._cols = tuple(c & ((1 << n) - 1) for c in cols)
         sub._pivots = pivots
         return sub
+
+    @classmethod
+    def _span(cls, n: int, vecs, shift_bits: int) -> "AffineSubspace":
+        """shift_bits plus the span of vecs, ints masked to n bits; a vector
+        is kept as a column when it is independent of the ones before it."""
+        mask = (1 << n) - 1
+        vecs = [v & mask for v in vecs]
+        kept: list[int] = []
+        pivots = _build_pivots(vecs, None, kept)
+        return cls._from_cols(n, [vecs[i] for i in kept], shift_bits, pivots)
 
     @classmethod
     def point(cls, t: BitVec) -> "AffineSubspace":

@@ -170,7 +170,7 @@ def recovery_trial(n: int, m: int, k: int, rng) -> tuple[bool, float, int]:
     samples = [oracle.draw() for _ in range(k + 1)]
     learned = recover_affine(samples)
     success = learned.subspace.same_set(truth)
-    dist_tv = float(tv(learned.dist(), truth_dist))
+    dist_tv = float(tv(learned, truth_dist))
     return success, dist_tv, oracle.queries
 
 

@@ -5,29 +5,17 @@ used as a small-scale verification oracle."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dist import AffineUniform, SampleOracle, StatOracle, ParityCorrelation
-from .gf2 import AffineSubspace, BitVec, max_independent_subset
+from .gf2 import AffineSubspace, BitVec
 
 MAX_BRUTE_FORCE_BITS = 20
 
 
-@dataclass(frozen=True)
-class LearnedAffine:
-    """Recovered affine subspace plus the sample budget that produced it."""
-
-    subspace: AffineSubspace
-    samples_used: int
-
-    def dist(self) -> AffineUniform:
-        return AffineUniform(self.subspace)
-
-
-def recover_affine(samples: Sequence[BitVec]) -> LearnedAffine:
+def recover_affine(samples: Sequence[BitVec]) -> AffineUniform:
     """Shift all samples by the first one and span the differences.
 
     The recovered set always contains every sample and is exact whenever the
@@ -35,17 +23,13 @@ def recover_affine(samples: Sequence[BitVec]) -> LearnedAffine:
     """
     if not samples:
         raise ValueError("need at least one sample")
-    origin = samples[0]
-    diffs = [x ^ origin for x in samples[1:]]
-    pivots: dict[int, int] = {}
-    idx = max_independent_subset(diffs, pivots)
-    sub = AffineSubspace._from_cols(
-        origin.n, tuple(diffs[i].bits for i in idx), origin.bits, pivots
-    )
-    return LearnedAffine(sub, len(samples))
+    n, origin = samples[0].n, samples[0].bits
+    if any(x.n != n for x in samples):
+        raise ValueError("samples have mixed lengths")
+    return AffineUniform(AffineSubspace._span(n, [x.bits ^ origin for x in samples[1:]], origin))
 
 
-def closure_learn(oracle: SampleOracle, n: int, delta: float) -> LearnedAffine:
+def closure_learn(oracle: SampleOracle, n: int, delta: float) -> AffineUniform:
     """Recover an affine-subspace distribution from n + ceil(log2(1/delta))
     samples (base-2 count; the failure probability is at most ~delta, with a
     factor-2 slack at full dimension because the first sample only seeds the

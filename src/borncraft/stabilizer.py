@@ -6,12 +6,8 @@ with uniform probabilities; `StabTableau.support` extracts it exactly.
 
 from __future__ import annotations
 
-from .circuit import Circuit
+from .circuit import MAX_TABLEAU_QUBITS, Circuit
 from .gf2 import AffineSubspace, BitMatrix, BitVec, _build_pivots, _lsb, _reduced_echelon
-
-# The tableau holds 4n^2 bits and `support` does O(n^2) row operations on
-# n-bit rows, so this cap keeps one simulation to seconds and ~100 MB.
-MAX_TABLEAU_QUBITS = 4096
 
 
 def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:

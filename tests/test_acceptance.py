@@ -101,7 +101,7 @@ def test_criterion_2_clifford_end_to_end():
         truth = AffineUniform(sub)
         learned = closure_learn(SampleOracle(truth, rng), n, 0.01)
         if learned.subspace.same_set(sub):
-            assert tv(learned.dist(), truth) == 0
+            assert tv(learned, truth) == 0
         else:
             failures += 1
     ok = max_err < 1e-12 and failures <= 2

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borncraft import stabilizer
 from borncraft.circuit import (
     GATE_ARITY,
+    MAX_TABLEAU_QUBITS,
     Circuit,
     Gate,
     depth,
@@ -201,6 +203,16 @@ def test_text_format_error_messages_with_repeated_lines(text, message):
     with pytest.raises(ValueError) as err:
         parse_circuit(text)
     assert str(err.value) == message
+
+
+# A count of 10^20 once reached _pack and raised OverflowError from [0] * n.
+@pytest.mark.parametrize("count", [MAX_TABLEAU_QUBITS + 1, 10 ** 20])
+def test_qubit_count_over_the_cap_is_value_error(count):
+    with pytest.raises(ValueError) as err:
+        parse_circuit(f"qubits {count}\nH 0\n")
+    assert str(err.value) == f"line 1: circuits limited to {MAX_TABLEAU_QUBITS} qubits"
+    assert parse_circuit(f"qubits {MAX_TABLEAU_QUBITS}\nH 0\n").n == MAX_TABLEAU_QUBITS
+    assert stabilizer.MAX_TABLEAU_QUBITS is MAX_TABLEAU_QUBITS
 
 
 def test_pack_reports_first_out_of_range_qubit():

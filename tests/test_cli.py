@@ -160,6 +160,21 @@ def test_tableau_qubit_cap_exit_2(tmp_path, capsys, argv):
     assert len(err) == 1 and "limited to" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{path}", "--backend", "stab"],
+    ["simulate", "{path}", "--backend", "sv"],
+    ["learn", "closure", "--circuit", "{path}", "--delta", "0.01"],
+])
+def test_overflowing_qubit_count_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "overflow.qc"
+    path.write_text("qubits 99999999999999999999\nH 0\n")
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "limited to" in err[0]
+
+
 @pytest.mark.parametrize("backend", ["stab", "sv"])
 def test_simulate_negative_samples_exit_2(parity_file, capsys, backend):
     assert main(["simulate", parity_file, "--backend", backend, "--samples", "-5"]) == 2

@@ -185,6 +185,19 @@ def test_tv_disjoint_point_masses():
     assert tv(PointMass(BitVec.from_str("00")), PointMass(BitVec.from_str("11"))) == 1
 
 
+def test_tv_point_mass_against_wide_affine_is_exact():
+    # 2^40 support points are far beyond the enumeration budget; a point mass
+    # is a 0-dimensional AffineUniform, so tv takes the closed form.
+    rng = random.Random(64)
+    sub = AffineSubspace.random(rng, 64, 40)
+    inside = tv(PointMass(sub.sample(rng)), AffineUniform(sub))
+    assert isinstance(inside, Fraction)
+    assert inside == 1 - Fraction(1, 1 << 40)
+    outside = BitVec(64, sub.shift.bits ^ (1 << 63))
+    assert not sub.contains(outside)
+    assert tv(PointMass(outside), AffineUniform(sub)) == 1
+
+
 def test_tv_affine_fast_path_matches_enumeration():
     rng = random.Random(21)
     for _ in range(100):
@@ -499,6 +512,15 @@ def test_json_wrong_typed_field_names_it(d, data):
         obj[field] = data.draw(_JSON_VALUES[wrong], label="value")
     with pytest.raises(ValueError, match=field):
         dist_from_json(obj)
+
+
+def test_json_reads_legacy_point_mass():
+    # Point masses are written as affine_uniform with dim 0; the old kind loads.
+    legacy = dist_from_json({"schema": "dist_v1", "kind": "point_mass", "n": 3, "value": "5"})
+    d = PointMass(BitVec(3, 5))
+    assert all(legacy.eval(BitVec(3, x)) == d.eval(BitVec(3, x)) for x in range(8))
+    blob = dist_to_json(legacy)
+    assert (blob["kind"], blob["dim"], blob["shift"]) == ("affine_uniform", 0, "5")
 
 
 def test_json_wrong_typed_point_mass_n():

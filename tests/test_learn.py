@@ -37,9 +37,8 @@ def test_recover_from_identical_samples():
     learned = recover_affine([t] * 6)
     assert learned.subspace.dim == 0
     assert learned.subspace.shift == t
-    d = learned.dist()
-    assert d.eval(t) == 1
-    assert d.eval(BitVec.zeros(4)) == 0
+    assert learned.eval(t) == 1
+    assert learned.eval(BitVec.zeros(4)) == 0
 
 
 def test_recover_learned_evaluator_normalized():
@@ -47,7 +46,7 @@ def test_recover_learned_evaluator_normalized():
     sub = AffineSubspace.random(rng, 8, 3)
     samples = [sub.sample(rng) for _ in range(20)]
     learned = recover_affine(samples)
-    total = sum(learned.dist().eval(x) for x in learned.subspace.elements())
+    total = sum(learned.eval(x) for x in learned.subspace.elements())
     assert total == Fraction(1)
 
 
@@ -55,9 +54,8 @@ def test_closure_learn_sample_count():
     rng = random.Random(1)
     sub = AffineSubspace.random(rng, 8, 4)
     oracle = SampleOracle(AffineUniform(sub), rng)
-    learned = closure_learn(oracle, 8, 2 ** -4)
+    closure_learn(oracle, 8, 2 ** -4)
     assert oracle.queries == 12
-    assert learned.samples_used == 12
 
 
 @pytest.mark.parametrize("delta,extra", [(0.5, 1), (0.25, 2), (0.01, 7), (0.0625, 4)])
@@ -80,7 +78,7 @@ def test_closure_learn_two_bit_example():
         oracle = SampleOracle(AffineUniform(sub), rng)
         learned = closure_learn(oracle, 2, 0.01)
         if learned.subspace.same_set(sub):
-            assert tv(learned.dist(), AffineUniform(sub)) == 0
+            assert tv(learned, AffineUniform(sub)) == 0
         else:
             failures += 1
     # per-trial failure chance is ~2^(1-8); 200 trials leave wide 3-sigma room
@@ -112,6 +110,11 @@ def test_closure_learn_deterministic_given_samples():
     b = closure_learn(SampleOracle(AffineUniform(sub), random.Random(777)), 6, 0.1)
     assert a.subspace.basis == b.subspace.basis
     assert a.subspace.shift == b.subspace.shift
+
+
+def test_recover_affine_mixed_lengths_is_value_error():
+    with pytest.raises(ValueError):
+        recover_affine([BitVec.zeros(3), BitVec.zeros(3), BitVec.ones(4)])
 
 
 def test_success_iff_shifted_samples_span():
@@ -163,9 +166,9 @@ def test_clifford_end_to_end_small():
         oracle = SampleOracle(truth, rng)
         learned = closure_learn(oracle, c.n, 0.001)
         if learned.subspace.same_set(sub):
-            assert tv(learned.dist(), truth) == 0
+            assert tv(learned, truth) == 0
         else:
-            assert tv(learned.dist(), truth) > 0
+            assert tv(learned, truth) > 0
 
 
 # --- sq_correlation_learner -----------------------------------------------------
