@@ -104,8 +104,9 @@ class Circuit:
     __slots__ = ("n", "layers")
 
     def __init__(self, n: int, gates: Iterable[Gate] = ()):
-        if n < 0:
-            raise ValueError("qubit count must be nonnegative")
+        # Before _pack allocates n entries.
+        if not (isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= MAX_TABLEAU_QUBITS):
+            raise ValueError(f"qubit count must be an integer in 0..{MAX_TABLEAU_QUBITS}")
         self.n = n
         self.layers = _pack(n, gates)
 

@@ -54,6 +54,12 @@ MAX_SQ_BITS = 30
 MAX_SQ_BUDGET = 500_000
 # One README recovery-curve point (n = 16) takes 9-13 s at 10^5 trials.
 MAX_TRIALS = 100_000
+# opnorm-tv: a trial builds two 2^n x 2^n unitaries and takes an SVD of their
+# difference. The slowest of six timings per trial at n = 1..10 was 0.8, 0.9,
+# 1.3, 1.5, 2.1, 3.0, 38, 33, 137 and 856 ms (119 MB at n = 10); the most
+# trials per n keep a point near 10 s.
+MAX_OPNORM_TV_TRIALS = {1: 10_000, 2: 10_000, 3: 5_000, 4: 5_000, 5: 4_000,
+                        6: 3_000, 7: 300, 8: 300, 9: 70, 10: 10}
 
 
 class InfeasibleGridError(ValueError):
@@ -296,6 +302,10 @@ def _run_sq_vs_sample(spec: ExperimentSpec, grid: dict) -> list[dict]:
 
 
 def _run_opnorm_tv(spec: ExperimentSpec, grid: dict) -> list[dict]:
+    for n in grid["n"]:
+        if spec.trials > MAX_OPNORM_TV_TRIALS[n]:
+            raise InfeasibleGridError(
+                f"opnorm-tv: n = {n} allows at most {MAX_OPNORM_TV_TRIALS[n]} trials")
     points = []
     for point_index, n in enumerate(grid["n"]):
         held = 0

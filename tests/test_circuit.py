@@ -215,6 +215,21 @@ def test_qubit_count_over_the_cap_is_value_error(count):
     assert stabilizer.MAX_TABLEAU_QUBITS is MAX_TABLEAU_QUBITS
 
 
+# Circuit(10**20) once raised OverflowError from _pack's [0] * n, and counts
+# over the cap reached the constructor through the builders.
+@pytest.mark.parametrize("n", [-1, MAX_TABLEAU_QUBITS + 1, 10 ** 20, True, 2.0, "3"])
+def test_circuit_qubit_count_is_capped(n):
+    message = f"qubit count must be an integer in 0..{MAX_TABLEAU_QUBITS}"
+    with pytest.raises(ValueError, match=message):
+        Circuit(n)
+    if isinstance(n, int) and n > MAX_TABLEAU_QUBITS:
+        with pytest.raises(ValueError, match=message):
+            random_circuit(random.Random(0), n, 0)
+        with pytest.raises(ValueError, match=message):
+            parity_circuit(BitVec.from_str("1"), noisy=False, pad=n)
+    assert Circuit(MAX_TABLEAU_QUBITS).n == MAX_TABLEAU_QUBITS
+
+
 def test_pack_reports_first_out_of_range_qubit():
     with pytest.raises(ValueError, match="qubit 5 out of range for 4-qubit"):
         Circuit(4, [Gate.h(0), Gate.cnot(5, 7)])

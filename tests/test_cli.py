@@ -302,6 +302,13 @@ def test_experiment_trials_over_cap_exit_3(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_experiment_opnorm_tv_over_its_trial_cap_exit_3(capsys):
+    # the default 1000 trials are over the cap from n = 7 up
+    assert main(["experiment", "opnorm-tv", "--grid", '{"n": [2, 7]}']) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "n = 7 allows at most 300 trials" in err
+
+
 def test_learn_closure_subnormal_delta_exit_2(parity_file, capsys):
     # 1/delta overflows to infinity, so the sample count cannot be formed.
     assert main(["learn", "closure", "--circuit", parity_file, "--delta", "5e-324"]) == 2

@@ -7,8 +7,10 @@ import time
 
 import pytest
 
+from borncraft import harness
 from borncraft.harness import (
     EXPERIMENTS,
+    MAX_OPNORM_TV_TRIALS,
     MAX_PARITY_TV_BITS,
     ExperimentSpec,
     InfeasibleGridError,
@@ -246,12 +248,24 @@ def test_k_and_k_offsets_together_are_refused():
     ("recovery-curve", {"n": 16, "m": [4], "k": [3]}, 10 ** 11),
     ("parity-tv", {"k": [2, MAX_PARITY_TV_BITS + 1]}, 1),
     ("sq-vs-sample", {"k": 30, "budget": 10 ** 12}, 1),
+    # each key and the trial count lie within their caps; their product does not
+    ("opnorm-tv", {"n": [1, 10]}, 11),
 ])
 def test_caps_refuse_before_any_trial(name, grid, trials):
     start = time.perf_counter()
     with pytest.raises(InfeasibleGridError):
         run(ExperimentSpec(name, grid, trials, 0))
     assert time.perf_counter() - start < 1.0
+
+
+def test_opnorm_tv_trial_caps_admit_points_up_to_them(monkeypatch):
+    monkeypatch.setattr(harness, "opnorm_tv_check", lambda c1, c2: (1.0, 0.0))
+    assert sorted(MAX_OPNORM_TV_TRIALS) == list(range(1, 11))
+    for n in (1, 7, 10):
+        trials = MAX_OPNORM_TV_TRIALS[n]
+        assert len(run(ExperimentSpec("opnorm-tv", {"n": n}, trials, 0)).points) == 1
+        with pytest.raises(InfeasibleGridError, match=f"n = {n} allows at most {trials} trials"):
+            run(ExperimentSpec("opnorm-tv", {"n": [n, 1]}, trials + 1, 0))
 
 
 def test_shared_trial_loop_sums_in_trial_order(monkeypatch):

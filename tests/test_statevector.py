@@ -171,6 +171,16 @@ def test_dense_dist_validation_and_sampling():
     assert 800 < sum(1 for d in draws if d == 0) < 1200
 
 
+def test_dense_dist_never_writes_to_the_callers_table():
+    probs = np.array([0.5, 0.5 + 1e-13, -1e-13, -0.0])
+    before = probs.tobytes()
+    dd = DenseDist(2, probs)
+    assert probs.tobytes() == before
+    # -1e-13 and -0.0 both become +0.0
+    assert dd.probs.tobytes() == np.array([0.5, 0.5 + 1e-13, 0.0, 0.0]).tobytes()
+    assert DenseDist(2, probs.tolist()).probs.tobytes() == dd.probs.tobytes()
+
+
 class FixedDraws:
     """Stands in for random.Random: random() returns the given values in turn."""
 
@@ -358,6 +368,12 @@ def test_circuit_unitary_bytes_match_full_state(c):
     Circuit(5, [Gate.h(4), Gate.cnot(4, 0), Gate.h(2), Gate.swap(2, 3), Gate.t(0)]),
     # both blocks each two-qubit gate exchanges are nonzero and differ
     Circuit(3, [Gate.h(0), Gate.h(1), Gate.t(1), Gate.h(1), Gate.cnot(0, 2), Gate.swap(1, 2)]),
+    # the single-T circuit at k = 16: its CNOT run spans 17 index bits
+    parity_circuit(BitVec(16, 0xB5E3), noisy=True),
+    # unequal magnitudes on 15 qubits, then runs over every index bit
+    Circuit(15, [Gate.h(q) for q in range(15)] + [Gate.t(q) for q in range(0, 15, 2)]
+            + [Gate.h(q) for q in range(1, 15, 3)] + [Gate.cnot(q, (q + 7) % 15) for q in range(15)]
+            + [Gate.swap(q, 14 - q) for q in range(7)] + [Gate.h(13), Gate.cnot(13, 2)]),
 ])
 def test_reduced_state_matches_full_state(c):
     assert sv_distribution(c).probs.tobytes() == _ref_probs(c).tobytes()
@@ -371,3 +387,83 @@ def test_few_touched_qubits_of_twenty():
     probs = sv_distribution(Circuit(20, [Gate.h(3), Gate.cnot(3, 17)])).probs
     assert np.flatnonzero(probs).tolist() == [0, 8 | 1 << 17]
     assert probs[0] == probs[8 | 1 << 17] == pytest.approx(0.5, abs=1e-15)
+
+
+@st.composite
+def permutation_runs(draw, max_n, n=None):
+    """Circuits made mostly of CNOT/SWAP runs. A few one-qubit gates cut them,
+    runs span layers wherever consecutive gates share a qubit, a qubit first
+    touched by a two-qubit gate joins the state mid-run, the last run often ends
+    the circuit, and the top `pad` qubits carry no gate."""
+    if n is None:
+        n = draw(st.integers(2, max_n), label="n")
+    live = n - draw(st.integers(0, n - 2), label="pad")
+    qubit = st.integers(0, live - 1)
+    gates = [Gate.h(q) for q in sorted(draw(st.sets(qubit, max_size=live), label="h"))]
+    for _ in range(draw(st.integers(1, 4), label="runs")):
+        if draw(st.booleans()):
+            gates.append(Gate(draw(st.sampled_from(["H", "S", "T"])), (draw(qubit),)))
+        for _ in range(draw(st.integers(0, 14), label="run length")):
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(Gate(draw(st.sampled_from(["CNOT", "SWAP"])), (a, b)))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_runs(15))
+def test_permutation_runs_sv_bytes_match_full_state(c):
+    assert sv_distribution(c).probs.tobytes() == _ref_probs(c).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_runs(6))
+def test_permutation_runs_unitary_bytes_match_full_state(c):
+    assert circuit_unitary(c).tobytes() == _ref_unitary(c).tobytes()
+
+
+def _ref_opnorm_tv(c1, c2):
+    u, w = _ref_unitary(c1), _ref_unitary(c2)
+    return (float(np.linalg.norm(u - w, 2)),
+            float(0.5 * np.abs(_ref_probs(c1) - _ref_probs(c2)).sum()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["extends", "shared prefix", "no common prefix"]))
+def test_opnorm_tv_check_bytes_match_reference(data, pair):
+    c1 = data.draw(permutation_runs(6) | sv_circuits(6).filter(lambda c: c.n), label="c1")
+    n, gates = c1.n, list(c1.gates())
+    tail = list(data.draw(permutation_runs(6, n=n) if n > 1 else sv_circuits(1), label="tail").gates())
+    if pair == "extends":
+        c2 = Circuit(n, gates + tail)
+    elif pair == "shared prefix":
+        cut = data.draw(st.integers(0, len(gates)), label="cut")
+        c2 = Circuit(n, gates[:cut] + [Gate.t(0)] + tail)
+    else:
+        first = Gate.s(0) if gates[:1] == [Gate.t(0)] else Gate.t(0)
+        c2 = Circuit(n, [first] + tail)
+    for a, b in ((c1, c2), (c2, c1)):
+        got = opnorm_tv_check(a, b)
+        assert np.array(got).tobytes() == np.array(_ref_opnorm_tv(a, b)).tobytes()
+
+
+def test_norm_checked_after_layers_with_one_qubit_gates(monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, *a: calls.append(x.size) or norm(x, *a))
+    # H, then ten layers of one CNOT each: the CNOT layers only permute
+    cnots = [Gate.cnot(q, q + 1) for q in range(10)]
+    c = Circuit(11, [Gate.h(0)] + cnots)
+    assert len(c.layers) == 11
+    probs = sv_distribution(c).probs
+    assert len(calls) == 1  # after the H layer only
+    assert np.flatnonzero(probs).tolist() == [0, (1 << 11) - 1]
+    calls.clear()
+    run_state(Circuit(11, [Gate.h(0)] + cnots + [Gate.h(10)]))
+    assert len(calls) == 2  # after each H layer, not only at the end
+
+
+def test_norm_drift_after_a_long_cnot_run_raises(monkeypatch):
+    monkeypatch.setitem(statevector._1Q, "T", 1.01 * statevector._1Q["T"])
+    gates = [Gate.h(0)] + [Gate.cnot(q, q + 1) for q in range(10)] + [Gate.t(10)]
+    with pytest.raises(ValueError, match="norm drifted"):
+        run_state(Circuit(11, gates + [Gate.swap(q, q + 1) for q in range(10)]))
