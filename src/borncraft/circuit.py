@@ -46,8 +46,12 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s)")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("negative qubit index")
+        for q in self.qubits:
+            # type() rather than isinstance: a bool is an int, and True would run as qubit 1.
+            if type(q) is not int:
+                raise ValueError(f"qubit indices must be ints, got {self.qubits!r}")
+            if q < 0:
+                raise ValueError("negative qubit index")
         if arity == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError("two-qubit gate needs distinct qubits")
 

@@ -335,7 +335,8 @@ def marginalize(d: Dist, k: int) -> Dist:
 
 
 def _eta_to_json(eta):
-    if eta == 0:
+    # A float zero stays a float, so the loaded eval keeps float arithmetic.
+    if eta == 0 and not isinstance(eta, float):
         return 0
     if isinstance(eta, Fraction):
         return f"{eta.numerator}/{eta.denominator}"

@@ -54,12 +54,13 @@ MAX_SQ_BITS = 30
 MAX_SQ_BUDGET = 500_000
 # One README recovery-curve point (n = 16) takes 9-13 s at 10^5 trials.
 MAX_TRIALS = 100_000
-# opnorm-tv: a trial builds two 2^n x 2^n unitaries and takes an SVD of their
-# difference. The slowest of six timings per trial at n = 1..10 was 0.8, 0.9,
-# 1.3, 1.5, 2.1, 3.0, 38, 33, 137 and 856 ms (119 MB at n = 10); the most
-# trials per n keep a point near 10 s.
-MAX_OPNORM_TV_TRIALS = {1: 10_000, 2: 10_000, 3: 5_000, 4: 5_000, 5: 4_000,
-                        6: 3_000, 7: 300, 8: 300, 9: 70, 10: 10}
+# opnorm-tv: a trial builds two Born tables over 2^n states and takes an SVD of
+# the unitaries of the gates in which the two circuits differ (one extra gate:
+# 2x2 or 4x4). The slowest of six timings per trial (100 trials each) at
+# n = 1..10 was 0.5, 0.7, 0.8, 1.1, 1.3, 1.5, 1.8, 2.0, 2.5 and 2.5 ms (36 MB);
+# the most trials per n keep a point near 10 s.
+MAX_OPNORM_TV_TRIALS = {1: 20_000, 2: 15_000, 3: 12_000, 4: 9_000, 5: 7_500,
+                        6: 7_000, 7: 5_500, 8: 5_000, 9: 4_000, 10: 4_000}
 
 
 class InfeasibleGridError(ValueError):

@@ -146,16 +146,28 @@ def opnorm_tv_check(c1: Circuit, c2: Circuit) -> tuple[float, float]:
     """(largest singular value of U1-U2, TV of the two Born distributions).
 
     The TV never exceeds the operator norm; both are raw, with no global-phase
-    alignment. The gates the two circuits share as a prefix are applied once.
+    alignment. The norm is taken on the differing tails only. With P the gates
+    the two circuits share as a prefix and S those they share as a suffix,
+    U1 - U2 = S·(A - B)·P, and ||S·X·P|| = ||X|| for unitaries S and P. A - B
+    acts only on the m qubits the tails A and B touch, and ||X ⊗ I|| = ||X||,
+    so the norm is that of the tails' 2^m x 2^m unitaries.
     """
     if c1.n != c2.n:
         raise ValueError("circuits act on different qubit counts")
-    qubits, dim = list(range(c1.n)), 1 << c1.n
+    if c1.n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"unitary construction limited to {MAX_UNITARY_QUBITS} qubits")
     g1, g2 = list(c1.gates()), list(c2.gates())
     k = next((i for i, (a, b) in enumerate(zip(g1, g2)) if a != b), min(len(g1), len(g2)))
-    # No kernel writes into its input, so both tails can start from one array.
-    shared = _run(_identity(c1.n), qubits, [g1[:k]])
-    u, w = (_run(shared, qubits, [tail]).reshape(dim, dim) for tail in (g1[k:], g2[k:]))
+    g1, g2 = g1[k:], g2[k:]
+    k = next((i for i, (a, b) in enumerate(zip(g1[::-1], g2[::-1])) if a != b),
+             min(len(g1), len(g2)))
+    g1, g2 = g1[:len(g1) - k], g2[:len(g2) - k]
+    # _run puts bit b of the index on the b-th lowest of the listed qubits, so
+    # listing the touched ones relabels them onto 0..m-1 in order.
+    touched = sorted({q for g in g1 + g2 for q in g.qubits})
+    dim = 1 << len(touched)
+    u, w = (_run(_identity(len(touched)), touched, [tail]).reshape(dim, dim)
+            for tail in (g1, g2))
     opnorm = float(np.linalg.norm(u - w, 2))
     p = sv_distribution(c1).probs
     q = sv_distribution(c2).probs

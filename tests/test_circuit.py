@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +31,15 @@ def test_gate_validation():
         Gate.cnot(2, 2)
     with pytest.raises(ValueError):
         Gate.h(-1)
+
+
+@pytest.mark.parametrize("qubits", [(0.5,), (True,), (np.int64(0),), ("0",), (1, False)])
+def test_gate_rejects_qubit_indices_that_are_not_ints(qubits):
+    # Refused at construction: a float would fail in _pack with a TypeError,
+    # and True would run as qubit 1.
+    kind = "H" if len(qubits) == 1 else "CNOT"
+    with pytest.raises(ValueError, match="ints"):
+        Gate(kind, qubits)
 
 
 def test_circuit_rejects_out_of_range_qubits():

@@ -303,10 +303,10 @@ def test_experiment_trials_over_cap_exit_3(capsys):
 
 
 def test_experiment_opnorm_tv_over_its_trial_cap_exit_3(capsys):
-    # the default 1000 trials are over the cap from n = 7 up
-    assert main(["experiment", "opnorm-tv", "--grid", '{"n": [2, 7]}']) == 3
+    # 5000 trials are within the cap at n = 2, over it at n = 10
+    assert main(["experiment", "opnorm-tv", "--grid", '{"n": [2, 10]}', "--trials", "5000"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "n = 7 allows at most 300 trials" in err
+    assert out == "" and err.startswith("error:") and "n = 10 allows at most 4000 trials" in err
 
 
 def test_learn_closure_subnormal_delta_exit_2(parity_file, capsys):

@@ -400,6 +400,16 @@ def test_json_eta_zero_stays_exact():
     assert isinstance(back.eval(BitVec(3, 0)), Fraction)
 
 
+def test_json_float_eta_zero_stays_float():
+    # A float 0.0 written as an int would load back exact, and a product with
+    # an exact part would then give Fraction(1, 6) where the original gives
+    # the float 1/6.
+    d = Product([NoisyParity(BitVec(1, 0), Fraction(1, 3)), NoisyParity(BitVec(1, 0), 0.0)])
+    back = dist_from_json(json.loads(json.dumps(dist_to_json(d))))
+    x = BitVec(4, 0)
+    assert back.eval(x) == d.eval(x) and isinstance(back.eval(x), float)
+
+
 @pytest.mark.parametrize("obj,field", [
     ({"kind": "affine_uniform"}, "n"),
     ({"kind": "affine_uniform", "n": 2, "dim": 0, "basis_rows": ["0", "0"]}, "shift"),

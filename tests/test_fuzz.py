@@ -5,7 +5,7 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from borncraft.circuit import parse_circuit
+from borncraft.circuit import GATE_ARITY, Circuit, Gate, parse_circuit
 from borncraft.cli import main
 from borncraft.dist import dist_from_json
 from borncraft.harness import EXPERIMENTS, ExperimentSpec, run
@@ -121,14 +121,20 @@ def test_cli_exits_0_2_or_3_with_one_error_line(tmp_path, capsys, data):
         json.loads(out, parse_constant=_no_constants)
 
 
+gate_args = st.tuples(st.sampled_from([*GATE_ARITY, "X"]),
+                      st.lists(numbers | st.integers(-1, 5) | st.text(max_size=2) | st.none(),
+                               max_size=3).map(tuple))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.data(), st.sampled_from([1, 2, 10 ** 12]), circuits, dist_objects)
-def test_library_entry_points_raise_only_value_error(data, trials, text, obj):
+@given(st.data(), st.sampled_from([1, 2, 10 ** 12]), circuits, dist_objects, gate_args)
+def test_library_entry_points_raise_only_value_error(data, trials, text, obj, gate):
     name = data.draw(st.sampled_from(NAMES))
     grid = data.draw(grids(name) | dist_objects)
     for call in (lambda: run(ExperimentSpec(name, grid, trials, 0)),
                  lambda: parse_circuit(text),
-                 lambda: dist_from_json(obj)):
+                 lambda: dist_from_json(obj),
+                 lambda: Circuit(6, [Gate(*gate)])):
         try:
             call()
         except ValueError:

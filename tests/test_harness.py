@@ -249,7 +249,7 @@ def test_k_and_k_offsets_together_are_refused():
     ("parity-tv", {"k": [2, MAX_PARITY_TV_BITS + 1]}, 1),
     ("sq-vs-sample", {"k": 30, "budget": 10 ** 12}, 1),
     # each key and the trial count lie within their caps; their product does not
-    ("opnorm-tv", {"n": [1, 10]}, 11),
+    ("opnorm-tv", {"n": [1, 10]}, MAX_OPNORM_TV_TRIALS[10] + 1),
 ])
 def test_caps_refuse_before_any_trial(name, grid, trials):
     start = time.perf_counter()
