@@ -2,7 +2,8 @@
 
 Every run is fully determined by (spec, master_seed): per-trial RNG streams
 are MT19937 generators keyed by SHA-256 of "master:point:trial", so results
-are independent of scheduling and bit-identical across machines. Result JSON
+are independent of scheduling and byte-identical across re-runs, and across
+machines as far as the README's "Reproducibility" section states. Result JSON
 follows schema "result_v1"; the timestamp field is excluded from the
 determinism contract.
 """
@@ -13,6 +14,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import operator
@@ -153,12 +155,13 @@ def _point(params: dict, successes: int, trials: int, mean_tv: float,
     return out
 
 
-def _sum_trials(spec: ExperimentSpec, point_index: int, trial) -> list:
-    """Column sums of trial(rng) over the point's trials, added left to right in
-    trial order. trial_rng is looked up on each call, so a wrapper set on the
-    module sees every trial."""
+def _fold_trials(spec: ExperimentSpec, point_index: int, trial, folds=None) -> list:
+    """Each column of trial(rng) over the point's trials, folded in trial order by
+    its (op, start) in folds, or summed from 0 without folds. trial_rng is looked
+    up on each call, so a wrapper set on the module sees every trial."""
     rows = [trial(trial_rng(spec.master_seed, point_index, t)) for t in range(spec.trials)]
-    return [functools.reduce(operator.add, column, 0) for column in zip(*rows)]
+    folds = folds or itertools.repeat((operator.add, 0))
+    return [functools.reduce(op, column, start) for (op, start), column in zip(folds, zip(*rows))]
 
 
 # --- recovery-curve ---------------------------------------------------------
@@ -194,7 +197,7 @@ def _run_recovery_curve(spec: ExperimentSpec, grid: dict) -> list[dict]:
     points = []
     for m in ms:
         for k in ks if ks is not None else [m + off for off in offsets]:
-            successes, tv_sum, queries = _sum_trials(
+            successes, tv_sum, queries = _fold_trials(
                 spec, len(points), lambda rng: recovery_trial(n, m, k, rng)
             )
             points.append(_point({"n": n, "m": m, "k": k}, successes, spec.trials,
@@ -289,8 +292,8 @@ def closure_parity_trial(k: int, delta: float, rng) -> tuple[bool, int]:
 
 def _run_sq_vs_sample(spec: ExperimentSpec, grid: dict) -> list[dict]:
     k, tau, budget, delta = grid["k"], grid["tau"], grid["budget"], grid["delta"]
-    sq_successes, sq_queries = _sum_trials(spec, 0, lambda rng: sq_trial(k, tau, budget, rng))
-    cl_successes, cl_queries = _sum_trials(spec, 1, lambda rng: closure_parity_trial(k, delta, rng))
+    sq_successes, sq_queries = _fold_trials(spec, 0, lambda rng: sq_trial(k, tau, budget, rng))
+    cl_successes, cl_queries = _fold_trials(spec, 1, lambda rng: closure_parity_trial(k, delta, rng))
     return [
         _point({"k": k, "tau": tau, "budget": budget, "learner": "sq-correlation"},
                sq_successes, spec.trials, 0.0, sq_queries / spec.trials),
@@ -309,30 +312,26 @@ def _run_opnorm_tv(spec: ExperimentSpec, grid: dict) -> list[dict]:
                 f"opnorm-tv: n = {n} allows at most {MAX_OPNORM_TV_TRIALS[n]} trials")
     points = []
     for point_index, n in enumerate(grid["n"]):
-        held = 0
-        tv_sum = 0.0
-        max_excess = -1.0
-        for t in range(spec.trials):
-            rng = trial_rng(spec.master_seed, point_index, t)
-            base = random_circuit(rng, n, rng.randrange(1, 9), allow_t=True)
-            extra = _random_gate(rng, n)
-            perturbed = Circuit(n, list(base.gates()) + [extra])
-            opnorm, tvd = opnorm_tv_check(base, perturbed)
-            held += tvd <= opnorm
-            tv_sum += tvd
-            max_excess = max(max_excess, tvd - opnorm)
+        held, tv_sum, max_excess = _fold_trials(
+            spec, point_index, lambda rng: _opnorm_tv_trial(n, rng),
+            [(operator.add, 0), (operator.add, 0), (max, -1.0)])
         points.append(_point({"n": n}, held, spec.trials, tv_sum / spec.trials, 0,
                              max_tv_minus_opnorm=max_excess))
     return points
 
 
-def _random_gate(rng, n: int) -> Gate:
+def _opnorm_tv_trial(n: int, rng) -> tuple[bool, float, float]:
+    """A random circuit against itself plus one random gate: (TV <= opnorm, TV, TV - opnorm)."""
+    base = random_circuit(rng, n, rng.randrange(1, 9), allow_t=True)
     kinds = ["H", "S", "T"] + (["CNOT", "SWAP"] if n > 1 else [])
     kind = kinds[rng.randrange(len(kinds))]
     if kind in ("CNOT", "SWAP"):
         q = rng.randrange(n - 1)
-        return Gate(kind, (q, q + 1) if rng.getrandbits(1) else (q + 1, q))
-    return Gate(kind, (rng.randrange(n),))
+        extra = Gate(kind, (q, q + 1) if rng.getrandbits(1) else (q + 1, q))
+    else:
+        extra = Gate(kind, (rng.randrange(n),))
+    opnorm, tvd = opnorm_tv_check(base, Circuit(n, list(base.gates()) + [extra]))
+    return tvd <= opnorm, tvd, tvd - opnorm
 
 
 # --- grid tables ------------------------------------------------------------

@@ -17,24 +17,27 @@ from .dist import _NORM_TOL, DenseDist
 MAX_STATE_QUBITS = 20
 MAX_UNITARY_QUBITS = 10
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
-_1Q = {"H": _H, "S": _S, "T": _T}
+_R = 1 / np.sqrt(2.0)
 
 
-# A one-qubit gate is a (2x2)·(2xN) product, N = 2^(m-1) on m simulated
-# qubits. For N < 4 NumPy/OpenBLAS takes other code paths (gemv at N = 1, a
-# small-size kernel at N <= 3) whose results can differ in the last bit from
-# the full state's: 9-qubit `H 0; H 0` would give probability 0.0 where the
-# full state gives 5.0e-34. Simulating at least three qubits keeps N >= 4 and
-# the output floats equal to a full-state simulation's.
-_MIN_SIM_QUBITS = 3
-
-
-def _apply_1q(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _apply_1q(arr: np.ndarray, kind: str, axis: int) -> None:
+    """Apply H, S or T to the given axis of arr in place, elementwise on its two
+    halves (views, by the Ellipsis). Scaling by the real _R and multiplying by 0
+    and 1 leave no cross term for a SIMD kernel or an FMA to round differently."""
+    a0, a1 = (arr[(slice(None),) * axis + (b, ...)] for b in (0, 1))
+    if kind == "H":
+        d = a0 - a1
+        a0 += a1
+        a0 *= _R
+        np.multiply(d, _R, out=a1)
+    elif kind == "S":
+        a1 *= 1j
+    else:
+        re, im = a1.real, a1.imag
+        d = re - im
+        im += re
+        im *= _R
+        np.multiply(d, _R, out=re)
 
 
 # CNOT and SWAP only move amplitudes: each maps basis index x to M·x for an
@@ -55,7 +58,7 @@ def _run(arr: np.ndarray, qubits: list[int], layers, check_norm: bool = False) -
     """Apply the layers of gates to arr, whose leading axes hold the sorted
     qubits, highest first (bit b of the index is qubits[b]); trailing axes pass
     through, so states and unitaries share this kernel. A qubit not yet in the
-    list joins as |0>. arr itself is never written to.
+    list joins as |0>. Gates write into arr in place: callers pass a fresh one.
 
     The pending CNOT/SWAP run is gathered before a one-qubit gate, before a
     qubit joins, and at the end. With check_norm, the norm is checked after
@@ -66,7 +69,7 @@ def _run(arr: np.ndarray, qubits: list[int], layers, check_norm: bool = False) -
     for layer in layers:
         mixes = False
         for gate in layer:
-            one_q = gate.kind in _1Q
+            one_q = len(gate.qubits) == 1
             new = [q for q in gate.qubits if q not in qubits]
             if cols and (one_q or new):
                 arr, cols = _gather(arr, cols), None
@@ -74,7 +77,7 @@ def _run(arr: np.ndarray, qubits: list[int], layers, check_norm: bool = False) -
                 arr = _add_qubit(arr, qubits, q)
             b = [bisect_left(qubits, q) for q in gate.qubits]
             if one_q:
-                arr = _apply_1q(arr, _1Q[gate.kind], len(qubits) - 1 - b[0])
+                _apply_1q(arr, gate.kind, len(qubits) - 1 - b[0])
                 mixes = True
                 continue
             cols = cols or [1 << j for j in range(len(qubits))]
@@ -101,17 +104,14 @@ def _add_qubit(arr: np.ndarray, qubits: list[int], q: int) -> np.ndarray:
 def run_state(c: Circuit) -> np.ndarray:
     """2^n amplitudes of the circuit applied to |0...0>, norm-checked.
 
-    Only the qubits some gate has touched (and at least the lowest
-    _MIN_SIM_QUBITS) are simulated: axis a of the state holds the a-th highest
-    of them. The others stay |0> and are embedded at the end.
+    Only the qubits some gate has touched are simulated, the a-th highest of
+    them on axis a; the others stay |0> and are embedded at the end.
     """
     n = c.n
     if n > MAX_STATE_QUBITS:
         raise ValueError(f"statevector backend limited to {MAX_STATE_QUBITS} qubits")
-    qubits = list(range(min(n, _MIN_SIM_QUBITS)))
-    arr = np.zeros((2,) * len(qubits), dtype=complex)
-    arr[(0,) * len(qubits)] = 1.0
-    arr = _run(arr, qubits, c.layers, check_norm=True)
+    qubits: list[int] = []
+    arr = _run(np.ones((), dtype=complex), qubits, c.layers, check_norm=True)
     if len(qubits) < n:
         state = np.zeros((2,) * n, dtype=complex)
         state[tuple(slice(None) if q in qubits else 0 for q in reversed(range(n)))] = arr
@@ -121,13 +121,13 @@ def run_state(c: Circuit) -> np.ndarray:
 
 def sv_distribution(c: Circuit) -> DenseDist:
     """Exact Born distribution of the circuit output."""
-    # |a|^2 in place: the same bytes as np.abs(a) ** 2, one 2^n array fewer.
-    # DenseDist still clips into a new table: the long-lived table then takes
-    # memory freed by the state, where keeping this one (allocated while the
-    # state was live) raised the single-t benchmark's peak RSS by 1.5 MB.
-    probs = np.abs(run_state(c))
-    np.square(probs, out=probs)
-    return DenseDist(c.n, probs)
+    # |a|^2 = re*re + im*im, squared in place (np.abs, via hypot, rounds tiny
+    # amplitudes differently in NumPy's AVX-512 and scalar loops). DenseDist
+    # clips into a new table, which takes memory freed by the state: keeping
+    # this one raised the single-t benchmark's peak RSS by 1.5 MB.
+    parts = run_state(c).view(np.float64)
+    np.square(parts, out=parts)
+    return DenseDist(c.n, parts[0::2] + parts[1::2])
 
 
 def _identity(n: int) -> np.ndarray:

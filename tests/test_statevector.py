@@ -262,7 +262,7 @@ def test_run_state_normalized():
 
 
 def test_run_state_raises_on_norm_drift(monkeypatch):
-    monkeypatch.setitem(statevector._1Q, "H", 1.01 * statevector._1Q["H"])
+    monkeypatch.setattr(statevector, "_R", 1.01 * statevector._R)
     with pytest.raises(ValueError, match="norm drifted"):
         run_state(Circuit(2, [Gate.h(0)]))
 
@@ -270,8 +270,12 @@ def test_run_state_raises_on_norm_drift(monkeypatch):
 # --- reduced-state simulation against the full-state reference -------------------
 #
 # A frozen copy of the full-state simulator: every gate passes over all 2^n
-# amplitudes, and two-qubit gates write into a copy of the array. The reduced
-# simulator must give the same bytes.
+# amplitudes and writes into a copy of the array. One-qubit gates take the same
+# elementwise float steps as the simulator, so the reduced simulator must give
+# the same bytes. The gate matrices below are a second reference, within a
+# float tolerance.
+
+_REF_R = 1 / np.sqrt(2.0)
 
 _REF_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
@@ -289,16 +293,22 @@ def _ref_index(ndim, assignments):
 
 def _ref_apply_gate(arr, gate, n):
     # axis a holds qubit n-1-a; trailing axes pass through
+    out = arr.copy()
     if gate.kind in _REF_1Q:
-        axis = n - 1 - gate.qubits[0]
-        out = np.tensordot(_REF_1Q[gate.kind], arr, axes=([1], [axis]))
-        return np.moveaxis(out, 0, axis)
+        i0, i1 = (_ref_index(arr.ndim, {n - 1 - gate.qubits[0]: b}) + (...,) for b in (0, 1))
+        a0, a1 = arr[i0], arr[i1]
+        if gate.kind == "H":
+            out[i0], out[i1] = (a0 + a1) * _REF_R, (a0 - a1) * _REF_R
+        elif gate.kind == "S":
+            out[i1] = a1 * 1j
+        else:
+            out[i1].real, out[i1].imag = (a1.real - a1.imag) * _REF_R, (a1.real + a1.imag) * _REF_R
+        return out
     a0, a1 = (n - 1 - q for q in gate.qubits)
     if gate.kind == "CNOT":
         i, j = _ref_index(arr.ndim, {a0: 1, a1: 0}), _ref_index(arr.ndim, {a0: 1, a1: 1})
     else:
         i, j = _ref_index(arr.ndim, {a0: 0, a1: 1}), _ref_index(arr.ndim, {a0: 1, a1: 0})
-    out = arr.copy()
     out[i] = arr[j]
     out[j] = arr[i]
     return out
@@ -311,14 +321,22 @@ def _ref_probs(c):
     for layer in c.layers:
         for gate in layer:
             arr = _ref_apply_gate(arr, gate, c.n)
-    return DenseDist(c.n, np.abs(arr.reshape(-1)) ** 2).probs
+    flat = arr.reshape(-1)
+    return DenseDist(c.n, flat.real * flat.real + flat.imag * flat.imag).probs
 
 
-def _ref_unitary(c):
+def _matrix_apply_gate(arr, gate, n):
+    if gate.kind not in _REF_1Q:
+        return _ref_apply_gate(arr, gate, n)
+    axis = n - 1 - gate.qubits[0]
+    return np.moveaxis(np.tensordot(_REF_1Q[gate.kind], arr, axes=([1], [axis])), 0, axis)
+
+
+def _ref_unitary(c, apply=_ref_apply_gate):
     dim = 1 << c.n
     arr = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
     for gate in c.gates():
-        arr = _ref_apply_gate(arr, gate, c.n)
+        arr = apply(arr, gate, c.n)
     return arr.reshape(dim, dim)
 
 
@@ -361,9 +379,26 @@ def test_circuit_unitary_bytes_match_full_state(c):
     assert circuit_unitary(c).tobytes() == _ref_unitary(c).tobytes()
 
 
+# Each column of either unitary is within (1 + gamma)^g - 1 of the exact one in
+# the 2-norm after g one-qubit gates, if each gate adds an error of at most
+# gamma times the norm. The elementwise steps have gamma_4 = 4u/(1 - 4u), with
+# u = 2^-53; the matrix product about sqrt(2) gamma_4 + u, as |H| has norm
+# sqrt 2 and its entries are rounded. 8u per gate covers both.
+@settings(max_examples=150, deadline=None)
+@given(sv_circuits(6))
+def test_circuit_unitary_within_float_tolerance_of_the_gate_matrices(c):
+    g = sum(1 for gate in c.gates() if gate.kind in _REF_1Q)
+    tol = 2 * ((1 + 8 * 2.0 ** -53) ** g - 1)
+    assert np.abs(circuit_unitary(c) - _ref_unitary(c, _matrix_apply_gate)).max() <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(sv_circuits(8))
+def test_circuit_unitary_first_column_bytes_match_run_state(c):
+    assert circuit_unitary(c)[:, 0].tobytes() == run_state(c).tobytes()
+
+
 @pytest.mark.parametrize("c", [
-    # the same qubit twice while it is the only one touched: with fewer than
-    # three simulated qubits the second H would give 0.0, not 5.0e-34
     Circuit(9, [Gate.h(0), Gate.h(0)]),
     parity_circuit(BitVec.from_str("1011"), noisy=True, pad=3),
     Circuit(5, [Gate.h(4), Gate.cnot(4, 0), Gate.h(2), Gate.swap(2, 3), Gate.t(0)]),
@@ -525,7 +560,15 @@ def test_norm_checked_after_layers_with_one_qubit_gates(monkeypatch):
 
 
 def test_norm_drift_after_a_long_cnot_run_raises(monkeypatch):
-    monkeypatch.setitem(statevector._1Q, "T", 1.01 * statevector._1Q["T"])
+    # only the T drifts: the H layer before the run passes its norm check
+    apply = statevector._apply_1q
+
+    def drifting_t(arr, kind, axis):
+        apply(arr, kind, axis)
+        if kind == "T":
+            arr *= 1.01
+
+    monkeypatch.setattr(statevector, "_apply_1q", drifting_t)
     gates = [Gate.h(0)] + [Gate.cnot(q, q + 1) for q in range(10)] + [Gate.t(10)]
     with pytest.raises(ValueError, match="norm drifted"):
         run_state(Circuit(11, gates + [Gate.swap(q, q + 1) for q in range(10)]))
