@@ -241,7 +241,9 @@ class DenseDist(Dist):
             self._cum = np.cumsum(self.probs)
             # The float sum can end below 1: draws past it go to the last
             # positive outcome, never to a zero-probability one after it.
-            self._cum[np.flatnonzero(self.probs)[-1]:] = np.inf
+            # The first positive entry of the reversed table is that outcome.
+            last = len(self.probs) - 1 - int(np.argmax(self.probs[::-1] > 0))
+            self._cum[last:] = np.inf
         return BitVec(self.n, int(self._cum.searchsorted(rng.random(), side="right")))
 
     @property

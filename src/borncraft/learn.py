@@ -72,7 +72,13 @@ def sq_correlation_learner(oracle: StatOracle, k: int, budget: int, rng) -> BitV
 def lpn_brute_force(samples: Sequence[tuple[BitVec, int]], k: int) -> BitVec:
     """Agreement-count maximizer over all 2^k candidate parities: a fast
     Walsh-Hadamard transform of the label histogram h[x] = sum (-1)^y gives
-    agree(s) - disagree(s) for every s in O(k 2^k) time and 2^k memory.
+    agree(s) - disagree(s) for every s in O(k 2^k) time and two 2^k int64
+    buffers of memory.
+
+    The transform runs in constant geometry (Pease, J. ACM 1968): each of
+    the k stages reads the pairs (2j, 2j+1) and writes their sum to j and
+    their difference to j + 2^(k-1) of the other buffer. Every stage rotates
+    the index bits right by one, so after k stages they are back in order.
 
     Ties break to the lexicographically smallest candidate bit string. Only
     viable at small k; the guard is a hard error.
@@ -87,13 +93,14 @@ def lpn_brute_force(samples: Sequence[tuple[BitVec, int]], k: int) -> BitVec:
         raise ValueError("sample length does not match k")
     xs = np.array([x.bits for x, _ in samples], dtype=np.int64)
     signs = np.array([1 - 2 * (y & 1) for _, y in samples], dtype=np.int64)
-    w = np.bincount(xs, weights=signs, minlength=1 << k).astype(np.int64)
-    for i in range(k):
-        pairs = w.reshape(-1, 2, 1 << i)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        lo += hi
-        hi *= -2
-        hi += lo
+    w = np.zeros(1 << k, dtype=np.int64)
+    np.add.at(w, xs, signs)
+    half = 1 << (k - 1)
+    out = np.empty_like(w)
+    for _ in range(k):
+        np.add(w[0::2], w[1::2], out=out[:half])
+        np.subtract(w[0::2], w[1::2], out=out[half:])
+        w, out = out, w
     ties = np.flatnonzero(w == w.max())
     # to_str() puts bit 0 first, so the smallest string is the smallest
     # bit-reversed index.

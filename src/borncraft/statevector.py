@@ -150,7 +150,10 @@ def opnorm_tv_check(c1: Circuit, c2: Circuit) -> tuple[float, float]:
     the two circuits share as a prefix and S those they share as a suffix,
     U1 - U2 = S·(A - B)·P, and ||S·X·P|| = ||X|| for unitaries S and P. A - B
     acts only on the m qubits the tails A and B touch, and ||X ⊗ I|| = ||X||,
-    so the norm is that of the tails' 2^m x 2^m unitaries.
+    so the norm is that of the tails' 2^m x 2^m unitaries. Prefix and suffix
+    are matched in gates() order, which is layer order: a gate put in front
+    of one circuit can move later gates between layers and widen the tails
+    toward 2^n x 2^n.
     """
     if c1.n != c2.n:
         raise ValueError("circuits act on different qubit counts")

@@ -302,10 +302,10 @@ def lpn_chunked_reference(samples, k):
 
 
 @st.composite
-def lpn_instances(draw, max_bits=12, max_samples=64):
+def lpn_instances(draw, bits=st.integers(1, 12), max_samples=64):
     """Small LPN sample sets with repeated x, the all-zero x, and labels that
     are not 0/1 (only y & 1 counts)."""
-    k = draw(st.integers(1, max_bits))
+    k = draw(bits)
     any_x = st.integers(0, (1 << k) - 1)
     pool = draw(st.lists(any_x, min_size=1, max_size=4)) + [0]
     xs = draw(st.lists(st.one_of(st.sampled_from(pool), any_x), max_size=max_samples))
@@ -317,6 +317,16 @@ def lpn_instances(draw, max_bits=12, max_samples=64):
 @given(lpn_instances())
 def test_lpn_matches_chunked_reference(instance):
     k, samples = instance
+    assert lpn_brute_force(samples, k) == lpn_chunked_reference(samples, k)
+
+
+# The transform swaps its two buffers once per stage, so odd and even k end
+# in different buffers; k = 16 is the size the single-T benchmark solves.
+@pytest.mark.parametrize("k", [13, 14, 15, 16])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lpn_matches_chunked_reference_at_large_k(k, data):
+    k, samples = data.draw(lpn_instances(bits=st.just(k)))
     assert lpn_brute_force(samples, k) == lpn_chunked_reference(samples, k)
 
 

@@ -201,6 +201,30 @@ def test_dense_sample_past_cumsum_end_skips_zero_mass():
     assert dd.sample(FixedDraws([0.3])).bits == 1
 
 
+def _frozen_last_positive_draw(probs, u):
+    """Reference rule: draws past the cumsum go to np.flatnonzero(probs)[-1]."""
+    cum = np.cumsum(probs)
+    cum[np.flatnonzero(probs)[-1]:] = np.inf
+    return int(cum.searchsorted(u, side="right"))
+
+
+@pytest.mark.parametrize("probs,expected", [
+    # only index 0 has mass; the zeros after it must never be drawn
+    ([1.0, 0.0, 0.0, 0.0], 0),
+    # the last index is the last positive one
+    ([0.25, 0.0, 0.25, 0.5], 3),
+    # the float cumsum stops at 1 - 1e-12, and the last positive entry (1e-300)
+    # does not move it; a rule keyed on where the cumsum reaches its end would
+    # pick index 1 instead
+    ([0.5, 0.5 - 1e-12, 1e-300, 0.0], 2),
+])
+def test_dense_sample_top_draw_goes_to_last_positive_entry(probs, expected):
+    u = 1.0 - 2.0 ** -53
+    probs = np.array(probs)
+    assert _frozen_last_positive_draw(probs, u) == expected
+    assert DenseDist(2, probs).sample(FixedDraws([u])).bits == expected
+
+
 @st.composite
 def dense_tables(draw, n=None):
     if n is None:
