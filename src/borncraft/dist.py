@@ -26,6 +26,7 @@ DIST_SCHEMA = "dist_v1"
 # Largest combined support enumerated by tv() and exact expectations.
 _SUPPORT_BUDGET = 1 << 22
 
+# Bits of the largest 2^n table: DenseDist, truth tables, and statevectors.
 _MAX_TABLE_BITS = 20
 
 # Allowed drift of a state's norm, and of a probability table's sum, from 1.

@@ -12,9 +12,8 @@ from bisect import bisect_left
 import numpy as np
 
 from .circuit import Circuit
-from .dist import _NORM_TOL, DenseDist
+from .dist import _MAX_TABLE_BITS, _NORM_TOL, DenseDist
 
-MAX_STATE_QUBITS = 20
 MAX_UNITARY_QUBITS = 10
 
 _R = 1 / np.sqrt(2.0)
@@ -108,8 +107,8 @@ def run_state(c: Circuit) -> np.ndarray:
     them on axis a; the others stay |0> and are embedded at the end.
     """
     n = c.n
-    if n > MAX_STATE_QUBITS:
-        raise ValueError(f"statevector backend limited to {MAX_STATE_QUBITS} qubits")
+    if n > _MAX_TABLE_BITS:
+        raise ValueError(f"statevector backend limited to {_MAX_TABLE_BITS} qubits")
     qubits: list[int] = []
     arr = _run(np.ones((), dtype=complex), qubits, c.layers, check_norm=True)
     if len(qubits) < n:

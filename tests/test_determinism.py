@@ -60,7 +60,7 @@ def kernel_hashes() -> dict:
     return {
         "born tables": _sha(sv_distribution(c).probs.tobytes() for c in circuits),
         "unitaries": _sha(circuit_unitary(c).tobytes() for c in circuits if c.n <= 8),
-        "t-noise": _sha([_result_bytes(ExperimentSpec("t-noise", {"k": list(range(1, 7))}, 1, 1))]),
+        "t-noise": _sha([_result_bytes(ExperimentSpec("t-noise", {"k": list(range(1, 9))}, 1, 1))]),
         "opnorm-tv": _sha([_result_bytes(ExperimentSpec("opnorm-tv", {"n": list(range(1, 9))}, 40, 1))]),
         "simulate sv": _sha([stdout.getvalue().encode()]),
     }

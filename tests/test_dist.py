@@ -129,23 +129,34 @@ def test_noisy_parity_flip_rate_one_million():
     assert abs(flips / draws - 0.14645) < 3 * sigma + 1e-5
 
 
+def check_draws_follow_eval(d, rng, draws):
+    """Every draw lies in the support, and each point's count is within 4 sigma."""
+    counts: dict[int, int] = {}
+    for _ in range(draws):
+        x = d.sample(rng)
+        counts[x.bits] = counts.get(x.bits, 0) + 1
+    for x in d.support():
+        p = float(d.eval(x))
+        got = counts.get(x.bits, 0)
+        sigma = math.sqrt(draws * p * (1 - p)) or 1.0
+        assert abs(got - draws * p) < 4 * sigma + 1e-9
+    assert sum(counts.values()) == draws
+    support_bits = {x.bits for x in d.support()}
+    assert set(counts) <= support_bits
+
+
 def test_generator_evaluator_consistency():
     rng = random.Random(123)
     for _ in range(5):
-        d = random_structured(rng, max_bits=6)
-        draws = 200_000
-        counts: dict[int, int] = {}
-        for _ in range(draws):
-            x = d.sample(rng)
-            counts[x.bits] = counts.get(x.bits, 0) + 1
-        for x in d.support():
-            p = float(d.eval(x))
-            got = counts.get(x.bits, 0)
-            sigma = math.sqrt(draws * p * (1 - p)) or 1.0
-            assert abs(got - draws * p) < 4 * sigma + 1e-9
-        assert sum(counts.values()) == draws
-        support_bits = {x.bits for x in d.support()}
-        assert set(counts) <= support_bits
+        check_draws_follow_eval(random_structured(rng, max_bits=6), rng, 200_000)
+
+
+def test_product_draws_follow_eval():
+    # Parts of unequal widths, so a draw whose parts land in the wrong bits
+    # leaves the support.
+    d = Product([NoisyParity(BitVec.from_str("11"), Fraction(1, 4)),
+                 PointMass(BitVec.from_str("1")), uniform(2)])
+    check_draws_follow_eval(d, random.Random(7), 50_000)
 
 
 def test_affine_uniform_chi_square():
@@ -479,6 +490,23 @@ def test_json_roundtrip_property(d, rng):
 @given(serializable_dists())
 def test_support_size_at_most_two_to_the_n(d):
     assert d.support_size <= 1 << d.n
+
+
+@settings(max_examples=200, deadline=None)
+@given(serializable_dists(), st.data())
+def test_marginalize_matches_enumerated_marginal(d, data):
+    k = data.draw(st.integers(0, d.n), label="k")
+    marg = marginalize(d, k)
+    assert marg.n == k
+    brute = [0] * (1 << k)
+    for x in d.support():
+        brute[x.bits & ((1 << k) - 1)] += d.eval(x)
+    for idx, mass in enumerate(brute):
+        got = marg.eval(BitVec(k, idx))
+        if isinstance(got, Fraction) and isinstance(mass, Fraction):
+            assert got == mass
+        else:  # float parameters: the enumeration adds in another order
+            assert got == pytest.approx(mass, abs=1e-12)
 
 
 def test_tv_refuses_supports_beyond_the_budget():

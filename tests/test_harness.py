@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from borncraft import harness
+from borncraft.circuit import T_NOISE_RATE, parity_circuit
+from borncraft.dist import NoisyParity, tv
+from borncraft.gf2 import BitVec
 from borncraft.harness import (
     EXPERIMENTS,
     MAX_OPNORM_TV_TRIALS,
@@ -20,6 +24,7 @@ from borncraft.harness import (
     wilson_interval,
     wilson_sigma,
 )
+from borncraft.statevector import sv_distribution
 
 
 def result_bytes_without_timestamp(result):
@@ -297,3 +302,87 @@ def test_shared_trial_loop_sums_in_trial_order(monkeypatch):
         mine = outs[4 * i:4 * i + 4]
         assert p["success_rate"] == sum(ok for ok, _, _ in mine) / 4
         assert p["queries"] == sum(q for _, _, q in mine) / 4
+
+
+# --- exhaustive runners against their per-index references -------------------
+
+
+def t_noise_per_index_reference(spec, grid):
+    """The t-noise runner as one BitVec and one NoisyParity.eval per index."""
+    points = []
+    for k in grid["k"]:
+        passing = 0
+        tv_sum = 0.0
+        max_prob_err = 0.0
+        max_eta_err = 0.0
+        for s_bits in range(1 << k):
+            s = BitVec(k, s_bits)
+            dd = sv_distribution(parity_circuit(s, noisy=True))
+            model = NoisyParity(s, T_NOISE_RATE)
+            point_err = 0.0
+            dist_tv = 0.0
+            flip_mass = 0.0
+            for idx in range(1 << (k + 1)):
+                x = BitVec(k + 1, idx)
+                diff = dd.eval(x) - float(model.eval(x))
+                point_err = max(point_err, abs(diff))
+                dist_tv += abs(diff)
+                if x[k] != x.take(k).dot(s):
+                    flip_mass += dd.eval(x)
+            eta_err = abs(flip_mass - T_NOISE_RATE)
+            max_prob_err = max(max_prob_err, point_err)
+            max_eta_err = max(max_eta_err, eta_err)
+            tv_sum += dist_tv / 2
+            passing += point_err < grid["tol"]
+        points.append(harness._point({"k": k, "eta": T_NOISE_RATE, "tol": grid["tol"]},
+                                     passing, 1 << k, tv_sum / (1 << k), 0,
+                                     max_prob_err=max_prob_err, max_eta_err=max_eta_err))
+    return points
+
+
+def parity_tv_pairwise_reference(spec, grid):
+    """The parity-tv runner as a double loop over the pairs, with tv(d, d) as its
+    self check (which returns 0 before it enumerates)."""
+    points = []
+    for k in grid["k"]:
+        dists = [NoisyParity(BitVec(k, s), 0) for s in range(1 << k)]
+        exact_half = 0
+        pairs = 0
+        tv_sum = 0.0
+        self_ok = all(tv(d, d) == 0 for d in dists)
+        for i in range(len(dists)):
+            for j in range(i + 1, len(dists)):
+                d = tv(dists[i], dists[j])
+                pairs += 1
+                tv_sum += float(d)
+                exact_half += d * 2 == 1
+        points.append(harness._point({"k": k}, exact_half, pairs, tv_sum / pairs, 0,
+                                     self_tv_zero=self_ok))
+    return points
+
+
+@pytest.mark.parametrize("name,grid,reference", [
+    *[("t-noise", {"k": list(range(1, 7)), "tol": tol}, t_noise_per_index_reference)
+      for tol in (0.0, 1e-16, 1e-12, 1e-3)],
+    ("parity-tv", {"k": list(range(1, 6))}, parity_tv_pairwise_reference),
+])
+def test_exhaustive_runner_bytes_match_reference(monkeypatch, name, grid, reference):
+    spec = ExperimentSpec(name, grid, 1, 1)
+    got = result_bytes_without_timestamp(run(spec))
+    monkeypatch.setitem(EXPERIMENTS, name, (reference, EXPERIMENTS[name][1]))
+    assert got == result_bytes_without_timestamp(run(spec))
+
+
+def test_parity_tv_self_tv_zero_enumerates_equal_parities(monkeypatch):
+    # tv(d, d) returns 0 before it enumerates anything, so the metric compares
+    # each parity with an equal one built anew. A tv that adds the common
+    # support twice must turn it false.
+    def tv_counting_common_support_twice(p, q):
+        if p is q:
+            return Fraction(0)
+        total = sum(abs(p.eval(x) - q.eval(x)) for x in p.support())
+        return (total + sum(q.eval(x) for x in q.support())) / 2
+
+    monkeypatch.setattr(harness, "tv", tv_counting_common_support_twice)
+    (point,) = run(ExperimentSpec("parity-tv", {"k": 2}, 1, 0)).points
+    assert point["metrics"]["self_tv_zero"] is False
