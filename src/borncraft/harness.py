@@ -38,7 +38,7 @@ from .dist import (
 )
 from .gf2 import AffineSubspace, BitVec
 from .learn import closure_learn, recover_affine, sq_correlation_learner
-from .statevector import MAX_UNITARY_QUBITS, opnorm_tv_check, sv_distribution
+from .statevector import MAX_UNITARY_QUBITS, _xor_table, opnorm_tv_check, sv_distribution
 
 RESULT_SCHEMA = "result_v1"
 
@@ -51,7 +51,7 @@ MAX_RECOVERY_BITS = 1024
 MAX_RECOVERY_SAMPLES = 4096
 # t-noise: 2^k Born tables of 2^(k+1) entries; 0.04 s at k = 7 and 0.1 s at k = 8.
 MAX_T_NOISE_BITS = 8
-# parity-tv: all pairs of 2^k parities; 0.2, 1.4-2.3, 14 and 130 s at k = 5, 6, 7, 8.
+# parity-tv: all pairs of 2^k parities; 0.3, 2.3-2.7, 20 and 160 s at k = 5, 6, 7, 8.
 MAX_PARITY_TV_BITS = 6
 # sq-vs-sample: a trial keeps min(budget, 2^k) slots and queries; 1.5 s, 85 MB at both caps.
 MAX_SQ_BITS = 30
@@ -218,12 +218,8 @@ def _run_t_noise(spec: ExperimentSpec, grid: dict) -> list[dict]:
         max_prob_err = 0.0
         max_eta_err = 0.0
         for s_bits in range(1 << k):
-            # Index y·2^k + x holds a flipped label when (s, 1)·(x, y) = 1; the
-            # parity table doubles bit by bit, as in statevector._gather.
-            flip = np.zeros(2 << k, dtype=bool)
-            for b in range(k + 1):
-                np.logical_xor(flip[:1 << b], bool((s_bits | 1 << k) >> b & 1),
-                               out=flip[1 << b:2 << b])
+            # Index y·2^k + x holds a flipped label when (s, 1)·(x, y) = 1.
+            flip = _xor_table([(s_bits | 1 << k) >> b & 1 for b in range(k + 1)]) == 1
             probs = sv_distribution(parity_circuit(BitVec(k, s_bits), noisy=True)).probs
             # NoisyParity(s, eta).eval as floats: a Fraction 2^-k times a float
             # is that float exactly scaled by 2^-k.
@@ -378,6 +374,8 @@ def _check_grid(name: str, grid, table: dict) -> dict:
     return values
 
 
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 EXPERIMENTS = {
     "recovery-curve": (_run_recovery_curve, {
         "n": _Key(_int, 0, MAX_RECOVERY_BITS),
@@ -392,9 +390,11 @@ EXPERIMENTS = {
     "parity-tv": (_run_parity_tv, {"k": _Key(_ints, 1, MAX_PARITY_TV_BITS)}),
     "sq-vs-sample": (_run_sq_vs_sample, {
         "k": _Key(_int, 1, MAX_SQ_BITS),
-        "tau": _Key(_real, default=0.1),
-        "budget": _Key(_int, hi=MAX_SQ_BUDGET, default=1000),
-        "delta": _Key(_real, default=0.0625),
+        # tau and delta in (0, 1) as closed float ranges, with 1/delta finite.
+        "tau": _Key(_real, math.nextafter(0.0, 1.0), _BELOW_ONE, default=0.1),
+        "budget": _Key(_int, 0, MAX_SQ_BUDGET, default=1000),
+        "delta": _Key(_real, math.nextafter(1 / sys.float_info.max, 1.0), _BELOW_ONE,
+                      default=0.0625),
     }),
     "opnorm-tv": (_run_opnorm_tv, {"n": _Key(_ints, 1, MAX_UNITARY_QUBITS)}),
 }

@@ -7,8 +7,6 @@ convention: bit q of the integer index is the state of qubit q.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from .circuit import Circuit
@@ -19,11 +17,11 @@ MAX_UNITARY_QUBITS = 10
 _R = 1 / np.sqrt(2.0)
 
 
-def _apply_1q(arr: np.ndarray, kind: str, axis: int) -> None:
-    """Apply H, S or T to the given axis of arr in place, elementwise on its two
-    halves (views, by the Ellipsis). Scaling by the real _R and multiplying by 0
-    and 1 leave no cross term for a SIMD kernel or an FMA to round differently."""
-    a0, a1 = (arr[(slice(None),) * axis + (b, ...)] for b in (0, 1))
+def _apply_1q(arr: np.ndarray, kind: str, bit: int) -> None:
+    """Apply H, S or T to index bit `bit` of the rows of arr in place, elementwise
+    on the two halves (views into arr). Scaling by the real _R and multiplying by
+    0 and 1 leave no cross term for a SIMD kernel or an FMA to round differently."""
+    a0, a1 = arr.reshape(-1, 2, arr.shape[1] << bit).swapaxes(0, 1)
     if kind == "H":
         d = a0 - a1
         a0 += a1
@@ -39,47 +37,47 @@ def _apply_1q(arr: np.ndarray, kind: str, axis: int) -> None:
         np.multiply(d, _R, out=re)
 
 
-# CNOT and SWAP only move amplitudes: each maps basis index x to M·x for an
-# invertible GF(2) matrix M of the index bits. A run of them, across layers,
-# folds into one map P (the product of the Ms in order), kept as its columns
-# cols[b] = P·e_b and applied as one gather, new[y] = old[P·y]. Values only
-# move, so no byte can change.
-def _gather(arr: np.ndarray, cols: list[int]) -> np.ndarray:
-    """Apply the run cols to the index over the leading len(cols) axes of arr."""
-    m = len(cols)
-    perm = np.zeros(1 << m, dtype=np.intp)
+def _xor_table(cols: list[int]) -> np.ndarray:
+    """y -> XOR of cols[b] over the set bits b of y, for each y < 2^len(cols)."""
+    table = np.zeros(1 << len(cols), dtype=np.intp)
     for b, col in enumerate(cols):
-        np.bitwise_xor(perm[:1 << b], col, out=perm[1 << b:2 << b])
-    return arr.reshape((1 << m,) + arr.shape[m:]).take(perm, axis=0).reshape(arr.shape)
+        np.bitwise_xor(table[:1 << b], col, out=table[1 << b:2 << b])
+    return table
 
 
-def _run(arr: np.ndarray, qubits: list[int], layers, check_norm: bool = False) -> np.ndarray:
-    """Apply the layers of gates to arr, whose leading axes hold the sorted
-    qubits, highest first (bit b of the index is qubits[b]); trailing axes pass
-    through, so states and unitaries share this kernel. A qubit not yet in the
-    list joins as |0>. Gates write into arr in place: callers pass a fresh one.
+def _run(arr: np.ndarray, bits: dict[int, int], layers, check_norm: bool = False) -> np.ndarray:
+    """Apply the layers of gates to the rows of arr, whose index bit bits[q] is
+    qubit q; columns pass through, so states (one column) and unitaries share
+    this kernel. A qubit not in bits joins as |0> on the next top bit: the rows
+    double, the old ones in the lower half. Gates write into arr in place:
+    callers pass a fresh one.
 
-    The pending CNOT/SWAP run is gathered before a one-qubit gate, before a
-    qubit joins, and at the end. With check_norm, the norm is checked after
-    each layer that holds a one-qubit gate: a permutation cannot move it, and
-    with no one-qubit gate the state stays a basis state.
+    CNOT and SWAP only move amplitudes: each maps row y to M·y for an
+    invertible GF(2) matrix M. A run of them, across layers, folds into one
+    map P (the product of the Ms in order), kept as its columns cols[b] = P·e_b
+    and applied as one gather, new[y] = old[P·y], before a one-qubit gate, a
+    join, and the end; values only move. With check_norm, the norm is checked
+    after each layer that holds a one-qubit gate: a permutation cannot move it.
     """
     cols = None
     for layer in layers:
         mixes = False
         for gate in layer:
             one_q = len(gate.qubits) == 1
-            new = [q for q in gate.qubits if q not in qubits]
+            new = [q for q in gate.qubits if q not in bits]
             if cols and (one_q or new):
-                arr, cols = _gather(arr, cols), None
+                arr, cols = arr.take(_xor_table(cols), axis=0), None
             for q in new:
-                arr = _add_qubit(arr, qubits, q)
-            b = [bisect_left(qubits, q) for q in gate.qubits]
+                bits[q] = len(bits)
+                grown = np.zeros((2 * len(arr), arr.shape[1]), dtype=complex)
+                grown[:len(arr)] = arr
+                arr = grown
+            b = [bits[q] for q in gate.qubits]
             if one_q:
-                _apply_1q(arr, gate.kind, len(qubits) - 1 - b[0])
+                _apply_1q(arr, gate.kind, b[0])
                 mixes = True
                 continue
-            cols = cols or [1 << j for j in range(len(qubits))]
+            cols = cols or [1 << j for j in range(len(bits))]
             if gate.kind == "CNOT":
                 cols[b[0]] ^= cols[b[1]]
             else:
@@ -88,34 +86,27 @@ def _run(arr: np.ndarray, qubits: list[int], layers, check_norm: bool = False) -
             norm = np.linalg.norm(arr)
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValueError(f"norm drifted to {norm} during simulation")
-    return _gather(arr, cols) if cols else arr
-
-
-def _add_qubit(arr: np.ndarray, qubits: list[int], q: int) -> np.ndarray:
-    """Insert qubit q, in |0>, into the state over the sorted list qubits."""
-    i = bisect_left(qubits, q)
-    qubits.insert(i, q)
-    out = np.zeros((2,) * len(qubits), dtype=complex)
-    out[(slice(None),) * (len(qubits) - 1 - i) + (0,)] = arr
-    return out
+    return arr.take(_xor_table(cols), axis=0) if cols else arr
 
 
 def run_state(c: Circuit) -> np.ndarray:
     """2^n amplitudes of the circuit applied to |0...0>, norm-checked.
 
-    Only the qubits some gate has touched are simulated, the a-th highest of
-    them on axis a; the others stay |0> and are embedded at the end.
+    Only the qubits some gate has touched are simulated, on index bits in the
+    order they were first touched, which is the order bits lists them in. One
+    relabel at the end moves qubit q onto bit q, with the untouched qubits at
+    |0>; it is skipped when the qubits were first touched in the order 0..n-1.
     """
     n = c.n
     if n > _MAX_TABLE_BITS:
         raise ValueError(f"statevector backend limited to {_MAX_TABLE_BITS} qubits")
-    qubits: list[int] = []
-    arr = _run(np.ones((), dtype=complex), qubits, c.layers, check_norm=True)
-    if len(qubits) < n:
-        state = np.zeros((2,) * n, dtype=complex)
-        state[tuple(slice(None) if q in qubits else 0 for q in reversed(range(n)))] = arr
+    bits: dict[int, int] = {}
+    arr = _run(np.ones((1, 1), dtype=complex), bits, c.layers, check_norm=True).reshape(-1)
+    if list(bits) != list(range(n)):
+        state = np.zeros(1 << n, dtype=complex)
+        state[_xor_table([1 << q for q in bits])] = arr
         arr = state
-    return arr.reshape(-1)
+    return arr
 
 
 def sv_distribution(c: Circuit) -> DenseDist:
@@ -132,13 +123,12 @@ def sv_distribution(c: Circuit) -> DenseDist:
 def _identity(n: int) -> np.ndarray:
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary construction limited to {MAX_UNITARY_QUBITS} qubits")
-    return np.eye(1 << n, dtype=complex).reshape((2,) * n + (1 << n,))
+    return np.eye(1 << n, dtype=complex)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary; column k is the circuit applied to basis state k."""
-    dim = 1 << c.n
-    return _run(_identity(c.n), list(range(c.n)), [c.gates()]).reshape(dim, dim)
+    return _run(_identity(c.n), {q: q for q in range(c.n)}, [c.gates()])
 
 
 def opnorm_tv_check(c1: Circuit, c2: Circuit) -> tuple[float, float]:
@@ -164,11 +154,9 @@ def opnorm_tv_check(c1: Circuit, c2: Circuit) -> tuple[float, float]:
     k = next((i for i, (a, b) in enumerate(zip(g1[::-1], g2[::-1])) if a != b),
              min(len(g1), len(g2)))
     g1, g2 = g1[:len(g1) - k], g2[:len(g2) - k]
-    # _run puts bit b of the index on the b-th lowest of the listed qubits, so
-    # listing the touched ones relabels them onto 0..m-1 in order.
+    # The tails' unitaries put the touched qubits on bits 0..m-1 in order.
     touched = sorted({q for g in g1 + g2 for q in g.qubits})
-    dim = 1 << len(touched)
-    u, w = (_run(_identity(len(touched)), touched, [tail]).reshape(dim, dim)
+    u, w = (_run(_identity(len(touched)), {q: b for b, q in enumerate(touched)}, [tail])
             for tail in (g1, g2))
     opnorm = float(np.linalg.norm(u - w, 2))
     p = sv_distribution(c1).probs

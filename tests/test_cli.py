@@ -287,6 +287,7 @@ def test_main_in_one_process_matches_separate_processes(parity_file, noisy_file,
     ("t-noise", '{"k": 2, "tol": NaN}', 2, "tol"),
     ("opnorm-tv", '{"n": "abc"}', 2, "n"),
     ("parity-tv", '{"k": 7}', 3, "k"),
+    ("sq-vs-sample", '{"k": 16, "budget": 500000, "delta": 0}', 3, "delta"),
 ])
 def test_experiment_bad_grid_one_error_line_naming_key(capsys, name, grid, code, key):
     assert main(["experiment", name, "--grid", grid, "--trials", "1"]) == code
