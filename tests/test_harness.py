@@ -253,6 +253,8 @@ def test_k_and_k_offsets_together_are_refused():
     ("recovery-curve", {"n": 16, "m": [4], "k": [3]}, 10 ** 11),
     ("parity-tv", {"k": [2, MAX_PARITY_TV_BITS + 1]}, 1),
     ("sq-vs-sample", {"k": 30, "budget": 10 ** 12}, 1),
+    # each key and the trial count lie within their caps; their product does not
+    ("opnorm-tv", {"n": [1, 10]}, MAX_OPNORM_TV_TRIALS[10] + 1),
     # tau and delta in (0, 1) with 1/delta finite, budget >= 0: refused before
     # the sq trials run, not by closure_learn or the oracle inside them
     ("sq-vs-sample", {"k": 16, "budget": 500_000, "delta": 0}, 5),
@@ -261,8 +263,6 @@ def test_k_and_k_offsets_together_are_refused():
     ("sq-vs-sample", {"k": 16, "budget": 500_000, "tau": 0}, 5),
     ("sq-vs-sample", {"k": 16, "budget": 500_000, "tau": 1.0}, 5),
     ("sq-vs-sample", {"k": 16, "budget": -1}, 5),
-    # each key and the trial count lie within their caps; their product does not
-    ("opnorm-tv", {"n": [1, 10]}, MAX_OPNORM_TV_TRIALS[10] + 1),
 ])
 def test_caps_refuse_before_any_trial(name, grid, trials):
     start = time.perf_counter()
