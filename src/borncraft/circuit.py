@@ -4,7 +4,6 @@ SWAP routing onto a line, and a line-oriented text format."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -12,8 +11,9 @@ from .gf2 import BitVec
 
 GATE_ARITY = {"H": 1, "S": 1, "T": 1, "CNOT": 2, "SWAP": 2}
 
-# Flip probability of the single-T gadget H.T.H acting on a basis state.
-T_NOISE_RATE = math.sin(math.pi / 8) ** 2
+# Flip probability of the single-T gadget H.T.H acting on a basis state:
+# sin^2(pi/8) = (2 - sqrt(2))/4, correctly rounded, so that no libm call sets it.
+T_NOISE_RATE = 0.14644660940672624
 
 # Chance that random_circuit puts a two-qubit gate on a wire with a free neighbor.
 _P_TWO = 0.4

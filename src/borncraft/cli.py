@@ -21,12 +21,21 @@ from .statevector import sv_distribution
 from .circuit import parse_circuit
 
 
+# Longest circuit or grid file read, in characters: a 4 MiB circuit of about
+# 0.5 M gates parses and simulates in 1.4 s at n = 128 and 2.6 s at n = 1024,
+# in 120-160 MB (16 MiB took 6 s and 350 MB; Python 3.11, 2-vCPU VM).
+MAX_INPUT_CHARS = 4 << 20
+
+
 def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            text = f.read(MAX_INPUT_CHARS + 1)
     except OSError as e:
         raise ValueError(f"cannot read {what} file: {e}") from None
+    if len(text) > MAX_INPUT_CHARS:
+        raise ValueError(f"{what} file is longer than {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _load_circuit(path: str):
@@ -82,7 +91,7 @@ def _cmd_experiment(args) -> int:
         raw = _read_text(raw[1:], "grid")
     try:
         grid = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ValueError(f"bad grid JSON: {e}") from None
     if not isinstance(grid, dict):
         raise ValueError("grid must be a JSON object")

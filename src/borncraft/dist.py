@@ -29,6 +29,10 @@ _SUPPORT_BUDGET = 1 << 22
 # Bits of the largest 2^n table: DenseDist, truth tables, and statevectors.
 _MAX_TABLE_BITS = 20
 
+# Deepest nesting of function bases and product parts that dist_from_json reads:
+# well below the interpreter's recursion limit (1000 frames, two per level).
+_MAX_DEPTH = 100
+
 # Allowed drift of a state's norm, and of a probability table's sum, from 1.
 _NORM_TOL = 1e-10
 
@@ -435,7 +439,9 @@ def _hex_field(key: str, width: int, s: str) -> BitVec:
         raise ValueError(f"{DIST_SCHEMA} field {key!r}: {e}") from None
 
 
-def dist_from_json(obj: dict) -> Dist:
+def dist_from_json(obj: dict, _depth: int = 0) -> Dist:
+    if _depth > _MAX_DEPTH:
+        raise ValueError(f"{DIST_SCHEMA} objects nest at most {_MAX_DEPTH} levels deep")
     if not isinstance(obj, dict):
         raise ValueError(f"{DIST_SCHEMA} object must be a JSON object")
     if obj.get("schema") != DIST_SCHEMA:
@@ -451,7 +457,7 @@ def dist_from_json(obj: dict) -> Dist:
         s = _hex_field("s", obj.typed("k", int), obj.typed("s", str))
         return NoisyParity(s, _eta_from_json(obj.typed("eta", (int, float, str))))
     if kind == "function":
-        base = dist_from_json(obj.typed("base", dict))
+        base = dist_from_json(obj.typed("base", dict), _depth + 1)
         if base.n > _MAX_TABLE_BITS:  # before the table is unpacked
             raise ValueError(f"truth tables supported up to {_MAX_TABLE_BITS} input bits")
         packed = _hex_field("table", 1 << base.n, obj.typed("table", str)).bits
@@ -460,7 +466,7 @@ def dist_from_json(obj: dict) -> Dist:
     if kind == "point_mass":  # no longer written: a point mass is an affine_uniform of dim 0
         return PointMass(_hex_field("value", obj.typed("n", int), obj.typed("value", str)))
     if kind == "product":
-        return Product([dist_from_json(p) for p in obj.typed("parts", list, dict)])
+        return Product([dist_from_json(p, _depth + 1) for p in obj.typed("parts", list, dict)])
     if kind == "dense":
         return DenseDist(obj.typed("n", int), obj.typed("probs", list, (int, float)))
     raise ValueError(f"unknown dist kind {kind!r}")

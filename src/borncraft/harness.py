@@ -28,14 +28,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import T_NOISE_RATE, parity_circuit, random_circuit, Gate, Circuit
-from .dist import (
-    AffineUniform,
-    NoisyParity,
-    SampleOracle,
-    StatOracle,
-    _of_type,
-    tv,
-)
+from .dist import AffineUniform, NoisyParity, SampleOracle, StatOracle, _of_type, tv
 from .gf2 import AffineSubspace, BitVec
 from .learn import closure_learn, recover_affine, sq_correlation_learner
 from .statevector import MAX_UNITARY_QUBITS, _xor_table, opnorm_tv_check, sv_distribution
@@ -46,7 +39,6 @@ WILSON_Z = 1.96
 
 # Caps on grid values and trials: one point at a cap (one trial, for the
 # per-trial caps) runs in seconds and under about 100 MB (Python 3.11, 2-vCPU VM).
-# recovery-curve: a trial costs about k*m*n; n = m = 1024, k = 1024 + 4096 takes ~2 s.
 MAX_RECOVERY_BITS = 1024
 MAX_RECOVERY_SAMPLES = 4096
 # t-noise: 2^k Born tables of 2^(k+1) entries; 0.04 s at k = 7 and 0.1 s at k = 8.
@@ -58,13 +50,9 @@ MAX_SQ_BITS = 30
 MAX_SQ_BUDGET = 500_000
 # One README recovery-curve point (n = 16) takes 9-13 s at 10^5 trials.
 MAX_TRIALS = 100_000
-# opnorm-tv: a trial builds two Born tables over 2^n states and takes an SVD of
-# the unitaries of the gates in which the two circuits differ (one extra gate:
-# 2x2 or 4x4). The slowest of six timings per trial (100 trials each) at
-# n = 1..10 was 0.5, 0.7, 0.8, 1.1, 1.3, 1.5, 1.8, 2.0, 2.5 and 2.5 ms (36 MB);
-# the most trials per n keep a point near 10 s.
-MAX_OPNORM_TV_TRIALS = {1: 20_000, 2: 15_000, 3: 12_000, 4: 9_000, 5: 7_500,
-                        6: 7_000, 7: 5_500, 8: 5_000, 9: 4_000, 10: 4_000}
+# A point's predicted seconds at the spec's trials, from the cost models in
+# EXPERIMENTS: at most 16 s for each README recovery-curve point at MAX_TRIALS.
+MAX_POINT_SECONDS = 30
 
 
 class InfeasibleGridError(ValueError):
@@ -144,14 +132,8 @@ def wilson_sigma(successes: int, trials: int) -> float:
 def _point(params: dict, successes: int, trials: int, mean_tv: float,
            queries: float, **metrics) -> dict:
     lo, hi = wilson_interval(successes, trials)
-    out = {
-        "params": params,
-        "success_rate": successes / trials,
-        "ci_lo": lo,
-        "ci_hi": hi,
-        "mean_tv": mean_tv,
-        "queries": queries,
-    }
+    out = {"params": params, "success_rate": successes / trials, "ci_lo": lo, "ci_hi": hi,
+           "mean_tv": mean_tv, "queries": queries}
     if metrics:
         out["metrics"] = metrics
     return out
@@ -186,7 +168,7 @@ def recovery_trial(n: int, m: int, k: int, rng) -> tuple[bool, float, int]:
     return success, dist_tv, oracle.queries
 
 
-def _run_recovery_curve(spec: ExperimentSpec, grid: dict) -> list[dict]:
+def _recovery_points(grid: dict) -> list[dict]:
     n, ms, ks, offsets = grid["n"], grid["m"], grid["k"], grid["k_offsets"]
     if any(m > n for m in ms):
         raise InfeasibleGridError("grid key 'm' must not exceed 'n'")
@@ -196,62 +178,57 @@ def _run_recovery_curve(spec: ExperimentSpec, grid: dict) -> list[dict]:
         raise ValueError("grid is missing key 'k' or 'k_offsets'")
     if ks is None and any(m + off < 0 for m in ms for off in offsets):
         raise InfeasibleGridError("grid key 'k_offsets' gives a negative sample count")
-    points = []
-    for m in ms:
-        for k in ks if ks is not None else [m + off for off in offsets]:
-            successes, tv_sum, queries = _fold_trials(
-                spec, len(points), lambda rng: recovery_trial(n, m, k, rng)
-            )
-            points.append(_point({"n": n, "m": m, "k": k}, successes, spec.trials,
-                                 tv_sum / spec.trials, queries / spec.trials))
-    return points
+    return [{"n": n, "m": m, "k": k}
+            for m in ms for k in (ks if ks is not None else [m + off for off in offsets])]
+
+
+def _recovery_point(spec: ExperimentSpec, point_index: int, params: dict) -> dict:
+    n, m, k = params["n"], params["m"], params["k"]
+    # recovery_trial is looked up on each call, like trial_rng in _fold_trials.
+    successes, tv_sum, queries = _fold_trials(
+        spec, point_index, lambda rng: recovery_trial(n, m, k, rng))
+    return _point(params, successes, spec.trials, tv_sum / spec.trials, queries / spec.trials)
 
 
 # --- t-noise ----------------------------------------------------------------
 
 
-def _run_t_noise(spec: ExperimentSpec, grid: dict) -> list[dict]:
-    points = []
-    for k in grid["k"]:
-        passing = 0
-        tv_sum = 0.0
-        max_prob_err = 0.0
-        max_eta_err = 0.0
-        for s_bits in range(1 << k):
-            # Index y·2^k + x holds a flipped label when (s, 1)·(x, y) = 1.
-            flip = _xor_table([(s_bits | 1 << k) >> b & 1 for b in range(k + 1)]) == 1
-            probs = sv_distribution(parity_circuit(BitVec(k, s_bits), noisy=True)).probs
-            # NoisyParity(s, eta).eval as floats: a Fraction 2^-k times a float
-            # is that float exactly scaled by 2^-k.
-            err = np.abs(probs - np.where(flip, T_NOISE_RATE, 1 - T_NOISE_RATE) / (1 << k))
-            point_err = float(err.max())
-            # cumsum adds in index order, one rounding per term, as a loop would.
-            flip_mass = float(np.cumsum(probs[flip])[-1])
-            max_prob_err = max(max_prob_err, point_err)
-            max_eta_err = max(max_eta_err, abs(flip_mass - T_NOISE_RATE))
-            tv_sum += float(np.cumsum(err)[-1]) / 2
-            passing += point_err < grid["tol"]
-        points.append(_point({"k": k, "eta": T_NOISE_RATE, "tol": grid["tol"]}, passing, 1 << k,
-                             tv_sum / (1 << k), 0,
-                             max_prob_err=max_prob_err, max_eta_err=max_eta_err))
-    return points
+def _t_noise_point(spec: ExperimentSpec, point_index: int, params: dict) -> dict:
+    k = params["k"]
+    passing = 0
+    tv_sum = 0.0
+    max_prob_err = 0.0
+    max_eta_err = 0.0
+    for s_bits in range(1 << k):
+        # Index y·2^k + x holds a flipped label when (s, 1)·(x, y) = 1.
+        flip = _xor_table([(s_bits | 1 << k) >> b & 1 for b in range(k + 1)]) == 1
+        probs = sv_distribution(parity_circuit(BitVec(k, s_bits), noisy=True)).probs
+        # NoisyParity(s, eta).eval as floats: a Fraction 2^-k times a float
+        # is that float exactly scaled by 2^-k.
+        err = np.abs(probs - np.where(flip, T_NOISE_RATE, 1 - T_NOISE_RATE) / (1 << k))
+        point_err = float(err.max())
+        # cumsum adds in index order, one rounding per term, as a loop would.
+        flip_mass = float(np.cumsum(probs[flip])[-1])
+        max_prob_err = max(max_prob_err, point_err)
+        max_eta_err = max(max_eta_err, abs(flip_mass - T_NOISE_RATE))
+        tv_sum += float(np.cumsum(err)[-1]) / 2
+        passing += point_err < params["tol"]
+    return _point(params, passing, 1 << k, tv_sum / (1 << k), 0,
+                  max_prob_err=max_prob_err, max_eta_err=max_eta_err)
 
 
 # --- parity-tv --------------------------------------------------------------
 
 
-def _run_parity_tv(spec: ExperimentSpec, grid: dict) -> list[dict]:
-    points = []
-    for k in grid["k"]:
-        dists = [NoisyParity(BitVec(k, s), 0) for s in range(1 << k)]
-        # An equal parity built anew: tv(d, d) returns 0 before enumerating.
-        self_ok = all(tv(d, NoisyParity(d.s, 0)) == 0 for d in dists)
-        tvs = [tv(p, q) for p, q in itertools.combinations(dists, 2)]
-        # A left-to-right fold: sum() compensates float sums from Python 3.12.
-        tv_sum = functools.reduce(operator.add, map(float, tvs), 0.0)
-        points.append(_point({"k": k}, sum(d * 2 == 1 for d in tvs), len(tvs),
-                             tv_sum / len(tvs), 0, self_tv_zero=self_ok))
-    return points
+def _parity_tv_point(spec: ExperimentSpec, point_index: int, params: dict) -> dict:
+    dists = [NoisyParity(BitVec(params["k"], s), 0) for s in range(1 << params["k"])]
+    # An equal parity built anew: tv(d, d) returns 0 before enumerating.
+    self_ok = all(tv(d, NoisyParity(d.s, 0)) == 0 for d in dists)
+    tvs = [tv(p, q) for p, q in itertools.combinations(dists, 2)]
+    # A left-to-right fold: sum() compensates float sums from Python 3.12.
+    tv_sum = functools.reduce(operator.add, map(float, tvs), 0.0)
+    return _point(params, sum(d * 2 == 1 for d in tvs), len(tvs), tv_sum / len(tvs), 0,
+                  self_tv_zero=self_ok)
 
 
 # --- sq-vs-sample -----------------------------------------------------------
@@ -267,9 +244,8 @@ def _parity_subspace(s: BitVec) -> AffineSubspace:
 def sq_trial(k: int, tau: float, budget: int, rng) -> tuple[bool, int]:
     """Adversarial-oracle correlation search for a random hidden parity."""
     s = BitVec.random(rng, k)
-    oracle = StatOracle(
-        NoisyParity(s, 0), tau, "adversarial", adversary_seed=rng.getrandbits(64)
-    )
+    oracle = StatOracle(NoisyParity(s, 0), tau, "adversarial",
+                        adversary_seed=rng.getrandbits(64))
     found = sq_correlation_learner(oracle, k, budget, rng)
     return found == s, oracle.queries
 
@@ -282,34 +258,34 @@ def closure_parity_trial(k: int, delta: float, rng) -> tuple[bool, int]:
     return learned.subspace.same_set(_parity_subspace(s)), oracle.queries
 
 
-def _run_sq_vs_sample(spec: ExperimentSpec, grid: dict) -> list[dict]:
-    k, tau, budget, delta = grid["k"], grid["tau"], grid["budget"], grid["delta"]
-    sq_successes, sq_queries = _fold_trials(spec, 0, lambda rng: sq_trial(k, tau, budget, rng))
-    cl_successes, cl_queries = _fold_trials(spec, 1, lambda rng: closure_parity_trial(k, delta, rng))
-    return [
-        _point({"k": k, "tau": tau, "budget": budget, "learner": "sq-correlation"},
-               sq_successes, spec.trials, 0.0, sq_queries / spec.trials),
-        _point({"k": k, "delta": delta, "learner": "closure"},
-               cl_successes, spec.trials, 0.0, cl_queries / spec.trials),
-    ]
+def _sq_vs_sample_point(spec: ExperimentSpec, point_index: int, p: dict) -> dict:
+    successes, queries = _fold_trials(spec, point_index, (
+        lambda rng: closure_parity_trial(p["k"], p["delta"], rng)) if p["learner"] == "closure"
+        else lambda rng: sq_trial(p["k"], p["tau"], p["budget"], rng))
+    return _point(p, successes, spec.trials, 0.0, queries / spec.trials)
+
+
+def _sq_vs_sample_seconds(p: dict, trials: int) -> float:
+    # closure: k + 1 + ceil(log2(1/delta)) draws; 39, 276 and 5,840 µs per trial at
+    # (k, delta) = (1, 1/16), (30, 1/16) and (30, 1e-300). sq: about 3 µs per query,
+    # and the search stops at the hidden parity, uniform among 2^k (with tau > 1/2,
+    # at the first parity that passes); 1,460, 80,900 and 1,280,000 µs per trial at
+    # (k, budget) = (10, 1000), (16, 100000) and (30, 500000).
+    if p["learner"] == "closure":
+        return trials * 1e-6 * (25 + (p["k"] + 2 - math.frexp(p["delta"])[1]) * (2 + p["k"] / 8))
+    q = min(p["budget"], 2 if p["tau"] > 0.5 else 1 << p["k"])
+    return trials * 1e-6 * (25 + 3 * (q - q * (q - 1) / (2 << p["k"])))
 
 
 # --- opnorm-tv --------------------------------------------------------------
 
 
-def _run_opnorm_tv(spec: ExperimentSpec, grid: dict) -> list[dict]:
-    for n in grid["n"]:
-        if spec.trials > MAX_OPNORM_TV_TRIALS[n]:
-            raise InfeasibleGridError(
-                f"opnorm-tv: n = {n} allows at most {MAX_OPNORM_TV_TRIALS[n]} trials")
-    points = []
-    for point_index, n in enumerate(grid["n"]):
-        held, tv_sum, max_excess = _fold_trials(
-            spec, point_index, lambda rng: _opnorm_tv_trial(n, rng),
-            [(operator.add, 0), (operator.add, 0), (max, -1.0)])
-        points.append(_point({"n": n}, held, spec.trials, tv_sum / spec.trials, 0,
-                             max_tv_minus_opnorm=max_excess))
-    return points
+def _opnorm_tv_point(spec: ExperimentSpec, point_index: int, params: dict) -> dict:
+    held, tv_sum, max_excess = _fold_trials(
+        spec, point_index, lambda rng: _opnorm_tv_trial(params["n"], rng),
+        [(operator.add, 0), (operator.add, 0), (max, -1.0)])
+    return _point(params, held, spec.trials, tv_sum / spec.trials, 0,
+                  max_tv_minus_opnorm=max_excess)
 
 
 def _opnorm_tv_trial(n: int, rng) -> tuple[bool, float, float]:
@@ -376,27 +352,46 @@ def _check_grid(name: str, grid, table: dict) -> dict:
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
+# A grid table; the checked grid's points as params dicts in result order; one
+# point's result from (spec, point_index, params); a point's seconds at a trial count.
+Experiment = NamedTuple("Experiment", [("table", dict), ("points", Callable),
+                                       ("evaluate", Callable), ("seconds", Callable)])
+
 EXPERIMENTS = {
-    "recovery-curve": (_run_recovery_curve, {
+    # µs per trial at (n, m, k): (16, 4, 4) 66, (16, 12, 22) 205, (64, 8, 1000) 3,230,
+    # (256, 16, 4096) 18,700, (1024, 0, 4096) 7,530 and (1024, 1024, 4096) 2,320,000.
+    "recovery-curve": Experiment({
         "n": _Key(_int, 0, MAX_RECOVERY_BITS),
         "m": _Key(_ints, 0, MAX_RECOVERY_BITS),
         "k": _Key(_ints, 0, MAX_RECOVERY_SAMPLES, default=None),
         "k_offsets": _Key(_ints, -MAX_RECOVERY_BITS, MAX_RECOVERY_SAMPLES, default=None),
-    }),
-    "t-noise": (_run_t_noise, {
+    }, _recovery_points, _recovery_point, lambda p, trials: trials * 1e-6 * (
+        25 + (p["k"] + 1) * (2 + p["m"] * (0.3 + p["n"] / 7000)))),
+    # 0.24, 2.1, 10 and 54 ms per point at k = 1, 4, 6 and 8.
+    "t-noise": Experiment({
         "k": _Key(_ints, 1, MAX_T_NOISE_BITS),
         "tol": _Key(_real, default=1e-12),
-    }),
-    "parity-tv": (_run_parity_tv, {"k": _Key(_ints, 1, MAX_PARITY_TV_BITS)}),
-    "sq-vs-sample": (_run_sq_vs_sample, {
+    }, lambda grid: [{"k": k, "eta": T_NOISE_RATE, "tol": grid["tol"]} for k in grid["k"]],
+        _t_noise_point, lambda p, trials: 2e-4 * 2 ** p["k"]),
+    # All pairs, each tv over 2^(k+1) strings: 0.1, 3.6, 27, 220, 2,400 ms at k = 1, 3-6.
+    "parity-tv": Experiment(
+        {"k": _Key(_ints, 1, MAX_PARITY_TV_BITS)}, lambda grid: [{"k": k} for k in grid["k"]],
+        _parity_tv_point, lambda p, trials: 1e-4 + 1e-5 * 4 ** p["k"] * ((1 << p["k"]) - 1)),
+    "sq-vs-sample": Experiment({
         "k": _Key(_int, 1, MAX_SQ_BITS),
         # tau and delta in (0, 1) as closed float ranges, with 1/delta finite.
         "tau": _Key(_real, math.nextafter(0.0, 1.0), _BELOW_ONE, default=0.1),
         "budget": _Key(_int, 0, MAX_SQ_BUDGET, default=1000),
         "delta": _Key(_real, math.nextafter(1 / sys.float_info.max, 1.0), _BELOW_ONE,
                       default=0.0625),
-    }),
-    "opnorm-tv": (_run_opnorm_tv, {"n": _Key(_ints, 1, MAX_UNITARY_QUBITS)}),
+    }, lambda g: [dict(k=g["k"], tau=g["tau"], budget=g["budget"], learner="sq-correlation"),
+                  dict(k=g["k"], delta=g["delta"], learner="closure")],
+        _sq_vs_sample_point, _sq_vs_sample_seconds),
+    # Two Born tables over 2^n states and a 2x2 or 4x4 SVD: 0.23, 0.47, 0.59, 0.87
+    # and 1.23 ms per trial at n = 1, 2, 5, 8 and 10.
+    "opnorm-tv": Experiment(
+        {"n": _Key(_ints, 1, MAX_UNITARY_QUBITS)}, lambda grid: [{"n": n} for n in grid["n"]],
+        _opnorm_tv_point, lambda p, trials: trials * 1e-3 * (0.25 + 0.1 * p["n"])),
 }
 
 
@@ -409,11 +404,16 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError("trials must be positive")
     if spec.trials > MAX_TRIALS:
         raise InfeasibleGridError(f"trials must be at most {MAX_TRIALS}")
-    runner, table = EXPERIMENTS[spec.name]
-    points = runner(spec, _check_grid(spec.name, spec.grid, table))
+    experiment = EXPERIMENTS[spec.name]
+    points = experiment.points(_check_grid(spec.name, spec.grid, experiment.table))
+    for params in points:
+        if (seconds := experiment.seconds(params, spec.trials)) > MAX_POINT_SECONDS:
+            raise InfeasibleGridError(
+                f"{spec.name} point {json.dumps(params, sort_keys=True)} would take about "
+                f"{seconds:.3g} s at {spec.trials} trials (at most {MAX_POINT_SECONDS} s a point)")
     return ExperimentResult(
         experiment=spec.name,
         spec={"grid": spec.grid, "trials": spec.trials},
         seed=spec.master_seed,
-        points=points,
+        points=[experiment.evaluate(spec, i, params) for i, params in enumerate(points)],
     )

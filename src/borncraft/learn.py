@@ -30,15 +30,16 @@ def recover_affine(samples: Sequence[BitVec]) -> AffineUniform:
 
 
 def closure_learn(oracle: SampleOracle, n: int, delta: float) -> AffineUniform:
-    """Recover an affine-subspace distribution from n + ceil(log2(1/delta))
-    samples (base-2 count; the failure probability is at most ~delta, with a
-    factor-2 slack at full dimension because the first sample only seeds the
-    shift)."""
+    """Recover an affine-subspace distribution from n + j samples, where j is
+    the least integer with 2^j * delta >= 1, exactly ceil(log2(1/delta)) for the
+    float delta (the failure probability is at most ~delta, with a factor-2
+    slack at full dimension because the first sample only seeds the shift).
+    With delta = f * 2^e and 1/2 <= f < 1 (math.frexp), j = 1 - e."""
     if n <= 0:
         raise ValueError("n must be positive")
     if not 0 < delta < 1 or 1.0 / delta == math.inf:
         raise ValueError("delta must lie in (0, 1), with 1/delta finite")
-    k = n + math.ceil(math.log2(1.0 / delta))
+    k = n + 1 - math.frexp(delta)[1]
     samples = []
     for _ in range(k):
         x = oracle.draw()

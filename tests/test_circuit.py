@@ -1,5 +1,7 @@
 """Circuit IR: layer packing, parity builder, routing structure, text format."""
 
+import decimal
+import math
 import random
 
 import numpy as np
@@ -10,6 +12,7 @@ from borncraft import stabilizer
 from borncraft.circuit import (
     GATE_ARITY,
     MAX_TABLEAU_QUBITS,
+    T_NOISE_RATE,
     Circuit,
     Gate,
     depth,
@@ -20,6 +23,16 @@ from borncraft.circuit import (
     route_nearest_neighbor,
 )
 from borncraft.gf2 import BitVec
+
+
+def test_t_noise_rate_is_sin_squared_pi_over_8_correctly_rounded():
+    # sin^2(pi/8) = (2 - sqrt(2))/4, to 50 digits: the literal is nearer to it
+    # than either float neighbour ((2 - math.sqrt(2)) / 4 is the lower one).
+    with decimal.localcontext(decimal.Context(prec=50)):
+        exact = (2 - decimal.Decimal(2).sqrt()) / 4
+        err = abs(decimal.Decimal(T_NOISE_RATE) - exact)
+        for neighbour in (math.nextafter(T_NOISE_RATE, 0), math.nextafter(T_NOISE_RATE, 1)):
+            assert err < abs(decimal.Decimal(neighbour) - exact)
 
 
 def test_gate_validation():

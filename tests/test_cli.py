@@ -1,14 +1,16 @@
 """CLI behavior: commands, output formats, exit codes."""
 
 import json
+import os
 import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from borncraft.cli import main
+from borncraft.cli import MAX_INPUT_CHARS, main
 from borncraft.dist import dist_from_json
 
 PARITY_TEXT = """qubits 3
@@ -304,10 +306,25 @@ def test_experiment_trials_over_cap_exit_3(capsys):
 
 
 def test_experiment_opnorm_tv_over_its_trial_cap_exit_3(capsys):
-    # 5000 trials are within the cap at n = 2, over it at n = 10
-    assert main(["experiment", "opnorm-tv", "--grid", '{"n": [2, 10]}', "--trials", "5000"]) == 3
+    # 30000 trials are within the per-point time bound at n = 2, over it at n = 10
+    assert main(["experiment", "opnorm-tv", "--grid", '{"n": [2, 10]}', "--trials", "30000"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "n = 10 allows at most 4000 trials" in err
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+    assert 'opnorm-tv point {"n": 10} would take' in err and "30000 trials" in err
+
+
+@pytest.mark.parametrize("name,grid,point", [
+    ("recovery-curve", '{"n": 1024, "m": [1024], "k": [4096]}', '{"k": 4096, "m": 1024, "n": 1024}'),
+    ("sq-vs-sample", '{"k": 30, "budget": 500000}',
+     '{"budget": 500000, "k": 30, "learner": "sq-correlation", "tau": 0.1}'),
+])
+def test_experiment_point_over_the_time_bound_exit_3_naming_it(capsys, name, grid, point):
+    start = time.perf_counter()
+    assert main(["experiment", name, "--grid", grid, "--trials", "100000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {name} point {point} would take")
 
 
 def test_learn_closure_subnormal_delta_exit_2(parity_file, capsys):
@@ -321,3 +338,45 @@ def test_readme_recovery_curve_example_runs():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     (grid,) = re.findall(r"borncraft experiment recovery-curve \\\n\s*--grid '([^']*)'", readme)
     assert main(["experiment", "recovery-curve", "--grid", grid, "--trials", "2"]) == 0
+
+
+def test_files_longer_than_the_input_cap_exit_2(tmp_path, capsys):
+    # A valid circuit and a valid grid, each one character over the cap.
+    circuit = tmp_path / "long.qc"
+    circuit.write_text("qubits 1\n" + "H 0\n" * ((MAX_INPUT_CHARS - 8) // 4), encoding="utf-8")
+    grid = tmp_path / "long.json"
+    grid.write_text('{"k": 1' + " " * (MAX_INPUT_CHARS - 7) + "}", encoding="utf-8")
+    for argv, what in [(["simulate", str(circuit)], "circuit"),
+                       (["learn", "closure", "--circuit", str(circuit), "--delta", "0.1"], "circuit"),
+                       (["experiment", "t-noise", "--grid", f"@{grid}", "--trials", "1"], "grid")]:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {what} file is longer than {MAX_INPUT_CHARS} characters\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("argv", [["simulate", "/dev/zero"],
+                                  ["experiment", "t-noise", "--grid", "@/dev/zero"]])
+def test_endless_file_exit_2_in_bounded_memory(argv):
+    # Under a 200 MB address-space limit, an endless file is refused at the
+    # cap rather than read until MemoryError.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (200_000 << 10, 200_000 << 10))
+
+    proc = subprocess.run([sys.executable, "-m", "borncraft.cli", *argv], capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", [sys.getrecursionlimit(), 60_000])
+def test_grid_nested_deeper_than_the_stack_exit_2(tmp_path, capsys, depth):
+    text = "[" * depth + "]" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    for grid in (text, f"@{path}"):
+        assert main(["experiment", "t-noise", "--grid", grid, "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: bad grid JSON")

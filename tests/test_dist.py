@@ -564,6 +564,27 @@ def test_json_reads_legacy_point_mass():
     assert (blob["kind"], blob["dim"], blob["shift"]) == ("affine_uniform", 0, "5")
 
 
+@pytest.mark.parametrize("kind", ["product", "function"])
+def test_json_nesting_is_bounded_on_the_way_down(kind):
+    # 100 levels are read (a function nest that deep then fails on its table
+    # width); deeper nests are refused before the stack overflows.
+    def nest(depth):
+        obj = dist_to_json(NoisyParity(BitVec(1, 1), 0))
+        for _ in range(depth):
+            obj = ({"schema": "dist_v1", "kind": "product", "parts": [obj]} if kind == "product"
+                   else {"schema": "dist_v1", "kind": "function", "base": obj, "table": "1"})
+        return obj
+
+    if kind == "product":
+        assert dist_from_json(nest(100)).n == 2
+    else:
+        with pytest.raises(ValueError, match="up to 20 input bits"):
+            dist_from_json(nest(100))
+    for depth in (101, 3000, 100_000):
+        with pytest.raises(ValueError, match="nest at most 100 levels"):
+            dist_from_json(nest(depth))
+
+
 def test_json_wrong_typed_point_mass_n():
     with pytest.raises(ValueError, match="field 'n'"):
         dist_from_json({"schema": "dist_v1", "kind": "point_mass", "n": "3", "value": "1"})

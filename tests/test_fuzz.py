@@ -2,11 +2,12 @@
 and the library entry points raise only ValueError."""
 
 import json
+import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from borncraft.circuit import GATE_ARITY, Circuit, Gate, parse_circuit
-from borncraft.cli import main
+from borncraft.cli import MAX_INPUT_CHARS, main
 from borncraft.dist import dist_from_json
 from borncraft.harness import EXPERIMENTS, ExperimentSpec, run
 
@@ -37,7 +38,7 @@ def grids(draw, name):
     """Most of the experiment's own keys, now and then an unknown one. Keys with
     a float default get a value in [0, 1] half the time."""
     grid = {}
-    for key, t in EXPERIMENTS[name][1].items():
+    for key, t in EXPERIMENTS[name].table.items():
         if draw(st.integers(0, 3)):
             real = isinstance(t.default, float)
             grid[key] = draw(st.floats(0, 1) | grid_values if real else grid_values)
@@ -60,6 +61,27 @@ dist_objects = st.recursive(
     ),
     max_leaves=3,
 )
+LIMIT = sys.getrecursionlimit()
+
+
+def _nested_dist(depth, kind):
+    obj = {"schema": "dist_v1", "kind": "noisy_parity", "k": 1, "s": "1", "eta": 0}
+    for _ in range(depth):
+        obj = ({"schema": "dist_v1", "kind": "product", "parts": [obj]} if kind == "product"
+               else {"schema": "dist_v1", "kind": "function", "base": obj, "table": "1"})
+    return obj
+
+
+# Nesting deeper than the interpreter's recursion limit: dist_v1 objects, and
+# JSON text (json.dumps itself would overflow the stack on such an object).
+deep_dist_objects = st.builds(_nested_dist, st.integers(LIMIT, 3 * LIMIT),
+                              st.sampled_from(["product", "function"]))
+deep_json_texts = st.builds(lambda d, wrap: wrap[0] * d + "0" + wrap[1] * d,
+                            st.integers(LIMIT, 3 * LIMIT),
+                            st.sampled_from([("[", "]"), ('{"k": ', "}")]))
+# Valid inputs one character over the input cap: a circuit and a t-noise grid.
+TOO_LONG_CIRCUIT = "qubits 1\n" + "H 0\n" * ((MAX_INPUT_CHARS - 8) // 4)
+TOO_LONG_GRID = '{"k": 1' + " " * (MAX_INPUT_CHARS - 7) + "}"
 junk_lines = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 gate_lines = st.one_of(
     st.builds("{} {}".format, st.sampled_from(["H", "S", "T"]), st.integers(0, 3)),
@@ -79,23 +101,30 @@ circuits = st.builds(
 
 @st.composite
 def cli_argv(draw, path):
+    """An argv, and whether it names a file longer than the input cap."""
     seed = str(draw(st.integers(-3, 3)))
     command = draw(st.sampled_from(["simulate", "learn", "experiment"]))
+    if command in ("simulate", "learn"):
+        text = draw(st.one_of(circuits, circuits, circuits, st.just(TOO_LONG_CIRCUIT)))
+        path.write_text(text, encoding="utf-8")
     if command == "simulate":
-        path.write_text(draw(circuits), encoding="utf-8")
-        return ["simulate", str(path), "--backend", draw(st.sampled_from(["stab", "sv"])),
-                "--samples", str(draw(st.integers(-1, 3))), "--seed", seed]
+        backend = draw(st.sampled_from(["stab", "sv"]))
+        return ["simulate", str(path), "--backend", backend, "--samples",
+                str(draw(st.integers(-1, 3))), "--seed", seed], text == TOO_LONG_CIRCUIT
     if command == "learn":
-        path.write_text(draw(circuits), encoding="utf-8")
         delta = draw(st.floats(0, 1) | st.floats(allow_nan=True, allow_infinity=True)
                      | st.sampled_from([5e-324, 1e-300, 0.25]))
         return ["learn", "closure", "--circuit", str(path), "--delta", repr(delta),
-                "--seed", seed]
+                "--seed", seed], text == TOO_LONG_CIRCUIT
     name = draw(st.sampled_from(NAMES))
-    grid = draw(st.one_of(grids(name), grids(name), dist_objects, json_values))
+    grid = draw(st.one_of(grids(name), grids(name), dist_objects, json_values).map(json.dumps)
+                | deep_json_texts | st.just(TOO_LONG_GRID))
+    if grid == TOO_LONG_GRID or draw(st.integers(0, 3)) == 0:
+        path.write_text(grid, encoding="utf-8")
+        grid = "@" + str(path)
     trials = draw(st.sampled_from([1, 2, 3, 1, 0, -1, 10 ** 12]))
-    return ["experiment", name, "--grid", json.dumps(grid), "--trials", str(trials),
-            "--seed", seed]
+    return ["experiment", name, "--grid", grid, "--trials", str(trials),
+            "--seed", seed], grid == "@" + str(path) and path.read_text() == TOO_LONG_GRID
 
 
 def _no_constants(name):
@@ -106,13 +135,15 @@ def _no_constants(name):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_cli_exits_0_2_or_3_with_one_error_line(tmp_path, capsys, data):
-    argv = data.draw(cli_argv(tmp_path / "fuzz.qc"))
+    argv, too_long = data.draw(cli_argv(tmp_path / "fuzz.qc"))
     try:
         code = main(argv)
     except SystemExit as e:  # argparse refusing an argument
         code = e.code
     out, err = capsys.readouterr()
-    assert code in (0, 2, 3), (argv, err)
+    assert code in (0, 2, 3), (argv[:3], err)
+    if too_long:  # refused, by the cap or by an argument checked before the file is read
+        assert code == 2, argv[:3]
     assert "Traceback" not in err
     assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
     if code != 0:
@@ -127,7 +158,8 @@ gate_args = st.tuples(st.sampled_from([*GATE_ARITY, "X"]),
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), st.sampled_from([1, 2, 10 ** 12]), circuits, dist_objects, gate_args)
+@given(st.data(), st.sampled_from([1, 2, 10 ** 12]), circuits, dist_objects | deep_dist_objects,
+       gate_args)
 def test_library_entry_points_raise_only_value_error(data, trials, text, obj, gate):
     name = data.draw(st.sampled_from(NAMES))
     grid = data.draw(grids(name) | dist_objects)

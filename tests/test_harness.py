@@ -14,8 +14,9 @@ from borncraft.dist import NoisyParity, tv
 from borncraft.gf2 import BitVec
 from borncraft.harness import (
     EXPERIMENTS,
-    MAX_OPNORM_TV_TRIALS,
     MAX_PARITY_TV_BITS,
+    MAX_POINT_SECONDS,
+    MAX_TRIALS,
     ExperimentSpec,
     InfeasibleGridError,
     recovery_trial,
@@ -253,8 +254,9 @@ def test_k_and_k_offsets_together_are_refused():
     ("recovery-curve", {"n": 16, "m": [4], "k": [3]}, 10 ** 11),
     ("parity-tv", {"k": [2, MAX_PARITY_TV_BITS + 1]}, 1),
     ("sq-vs-sample", {"k": 30, "budget": 10 ** 12}, 1),
-    # each key and the trial count lie within their caps; their product does not
-    ("opnorm-tv", {"n": [1, 10]}, MAX_OPNORM_TV_TRIALS[10] + 1),
+    # each key and the trial count lie within their caps; at n = 10 the point's
+    # predicted seconds exceed MAX_POINT_SECONDS, at n = 1 they do not
+    ("opnorm-tv", {"n": [1, 10]}, 30_000),
     # tau and delta in (0, 1) with 1/delta finite, budget >= 0: refused before
     # the sq trials run, not by closure_learn or the oracle inside them
     ("sq-vs-sample", {"k": 16, "budget": 500_000, "delta": 0}, 5),
@@ -263,6 +265,9 @@ def test_k_and_k_offsets_together_are_refused():
     ("sq-vs-sample", {"k": 16, "budget": 500_000, "tau": 0}, 5),
     ("sq-vs-sample", {"k": 16, "budget": 500_000, "tau": 1.0}, 5),
     ("sq-vs-sample", {"k": 16, "budget": -1}, 5),
+    # every key within its cap, but one trial takes seconds: days at 10^5 trials
+    ("recovery-curve", {"n": 1024, "m": [1024], "k": [4096]}, 100_000),
+    ("sq-vs-sample", {"k": 30, "budget": 500_000}, 100_000),
 ])
 def test_caps_refuse_before_any_trial(name, grid, trials):
     start = time.perf_counter()
@@ -272,12 +277,17 @@ def test_caps_refuse_before_any_trial(name, grid, trials):
 
 
 def test_opnorm_tv_trial_caps_admit_points_up_to_them(monkeypatch):
-    monkeypatch.setattr(harness, "opnorm_tv_check", lambda c1, c2: (1.0, 0.0))
-    assert sorted(MAX_OPNORM_TV_TRIALS) == list(range(1, 11))
+    # The most trials whose predicted seconds stay within MAX_POINT_SECONDS run;
+    # one more is refused, naming the point. The trial itself is stubbed out.
+    monkeypatch.setattr(harness, "_opnorm_tv_trial", lambda n, rng: (True, 0.0, -1.0))
+    seconds = EXPERIMENTS["opnorm-tv"].seconds
     for n in (1, 7, 10):
-        trials = MAX_OPNORM_TV_TRIALS[n]
+        trials = max(t for t in range(1, MAX_TRIALS + 1)
+                     if seconds({"n": n}, t) <= MAX_POINT_SECONDS)
+        assert trials < MAX_TRIALS
         assert len(run(ExperimentSpec("opnorm-tv", {"n": n}, trials, 0)).points) == 1
-        with pytest.raises(InfeasibleGridError, match=f"n = {n} allows at most {trials} trials"):
+        with pytest.raises(InfeasibleGridError,
+                           match=f'opnorm-tv point {{"n": {n}}} would take .* {trials + 1} trials'):
             run(ExperimentSpec("opnorm-tv", {"n": [n, 1]}, trials + 1, 0))
 
 
@@ -374,11 +384,10 @@ def parity_tv_pairwise_reference(spec, grid):
       for tol in (0.0, 1e-16, 1e-12, 1e-3)],
     ("parity-tv", {"k": list(range(1, 6))}, parity_tv_pairwise_reference),
 ])
-def test_exhaustive_runner_bytes_match_reference(monkeypatch, name, grid, reference):
+def test_exhaustive_runner_bytes_match_reference(name, grid, reference):
     spec = ExperimentSpec(name, grid, 1, 1)
-    got = result_bytes_without_timestamp(run(spec))
-    monkeypatch.setitem(EXPERIMENTS, name, (reference, EXPERIMENTS[name][1]))
-    assert got == result_bytes_without_timestamp(run(spec))
+    got = json.dumps(run(spec).points, sort_keys=True).encode()
+    assert got == json.dumps(reference(spec, grid), sort_keys=True).encode()
 
 
 def test_parity_tv_self_tv_zero_enumerates_equal_parities(monkeypatch):

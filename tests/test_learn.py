@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from borncraft.circuit import T_NOISE_RATE, parity_circuit, random_circuit
 from borncraft.dist import AffineUniform, NoisyParity, SampleOracle, StatOracle, tv
@@ -65,6 +65,24 @@ def test_closure_learn_log2_budget(delta, extra):
     oracle = SampleOracle(AffineUniform(sub), rng)
     closure_learn(oracle, 5, delta)
     assert oracle.queries == 5 + extra
+
+
+# The floats 2^-j and their two neighbours, where a float log2 of 1/delta
+# can round across an integer.
+_near_powers_of_two = st.integers(1, 1022).flatmap(lambda j: st.sampled_from(
+    [2.0 ** -j, math.nextafter(2.0 ** -j, 0), math.nextafter(2.0 ** -j, 1)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0, 1, exclude_min=True, exclude_max=True) | _near_powers_of_two)
+def test_closure_learn_count_is_exact(delta):
+    # n + the least j with 2^j * delta >= 1, with delta taken exactly as a Fraction.
+    assume(1.0 / delta != math.inf)  # refused: 1/delta must be finite
+    j = (math.ceil(1 / Fraction(delta)) - 1).bit_length()
+    rng = random.Random(3)
+    oracle = SampleOracle(AffineUniform(AffineSubspace.random(rng, 4, 2)), rng)
+    closure_learn(oracle, 4, delta)
+    assert oracle.queries == 4 + j
 
 
 def test_closure_learn_two_bit_example():
