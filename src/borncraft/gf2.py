@@ -259,45 +259,39 @@ def in_affine_span(r: BitMatrix, t: BitVec, x: BitVec) -> bool:
     """True iff x lies in {r.b + t : b}, i.e. x + t is in the column span of r."""
     if r.rows != x.n or t.n != x.n:
         raise ValueError("dimension mismatch")
-    pivots = _build_pivots(r.transpose().data)
-    return _reduce(pivots, x.bits ^ t.bits) == 0
+    return AffineSubspace._span(x.n, r.transpose().data, t.bits).contains(x)
 
 
-def _reduced_echelon(rows) -> dict[int, int]:
-    """Reduced echelon form of span(rows), unique for the row space: pivot
-    column -> row, where the pivot is the row's lowest set bit and no other
-    row has that bit."""
+def _solutions(rows, cols: int) -> AffineSubspace | None:
+    """The x in F2^cols with <row, x> = bit cols of row for all rows, or None when
+    the rows hold 0 = 1. The rows go to their reduced echelon form, unique for the
+    row space: each pivot is its row's lowest set bit, and no other row has it.
+    The basis has one column per free variable f, in increasing order: 1 << f
+    plus the pivots that f feeds. The shift sets pivots to their right-hand sides."""
     pivots = _build_pivots(rows)
+    if cols in pivots:
+        return None
     for c in sorted(pivots, reverse=True):
         for c2, row in pivots.items():
             if c2 < c and (row >> c) & 1:
                 pivots[c2] = row ^ pivots[c]
-    return pivots
+    # Column f < cols lists the pivots that f feeds; column cols is the shift.
+    t = BitMatrix(cols, cols + 1, [pivots.get(c, 0) for c in range(cols)]).transpose().data
+    return AffineSubspace._from_cols(
+        cols, [t[f] | 1 << f for f in range(cols) if f not in pivots], t[cols])
 
 
 def solve(m: BitMatrix, b: BitVec) -> BitVec | None:
     """One solution x of m.x = b, or None if the system is inconsistent."""
     if b.n != m.rows:
         raise ValueError("dimension mismatch")
-    ech = _reduced_echelon(m.data[i] | (((b.bits >> i) & 1) << m.cols) for i in range(m.rows))
-    if m.cols in ech:
-        return None
-    return BitVec(m.cols, sum(1 << c for c, row in ech.items() if (row >> m.cols) & 1))
+    sol = _solutions((m.data[i] | ((b.bits >> i) & 1) << m.cols for i in range(m.rows)), m.cols)
+    return None if sol is None else sol.shift
 
 
 def nullspace(m: BitMatrix) -> list[BitVec]:
     """Basis of {v : m.v = 0}, one vector per free column in increasing order."""
-    ech = _reduced_echelon(m.data)
-    basis = []
-    for free in range(m.cols):
-        if free in ech:
-            continue
-        bits = 1 << free
-        for c, row in ech.items():
-            if (row >> free) & 1:
-                bits |= 1 << c
-        basis.append(BitVec(m.cols, bits))
-    return basis
+    return [BitVec(m.cols, c) for c in _solutions(m.data, m.cols)._cols]
 
 
 class AffineSubspace:

@@ -20,7 +20,7 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
@@ -53,6 +53,10 @@ MAX_TRIALS = 100_000
 # A point's predicted seconds at the spec's trials, from the cost models in
 # EXPERIMENTS: at most 16 s for each README recovery-curve point at MAX_TRIALS.
 MAX_POINT_SECONDS = 30
+# Points in one run: the product of the lengths of the grid's lists, checked
+# before they are listed. The largest grid in README, tests and bench has 33;
+# 1024 t-noise points at k = 8 take about a minute.
+MAX_POINTS = 1024
 
 
 class InfeasibleGridError(ValueError):
@@ -77,15 +81,7 @@ class ExperimentResult:
     generated_at: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def to_dict(self) -> dict:
-        return {
-            "schema": RESULT_SCHEMA,
-            "experiment": self.experiment,
-            "spec": self.spec,
-            "seed": self.seed,
-            "points": self.points,
-            "version": self.version,
-            "generated_at": self.generated_at,
-        }
+        return {"schema": RESULT_SCHEMA, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -405,7 +401,10 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     if spec.trials > MAX_TRIALS:
         raise InfeasibleGridError(f"trials must be at most {MAX_TRIALS}")
     experiment = EXPERIMENTS[spec.name]
-    points = experiment.points(_check_grid(spec.name, spec.grid, experiment.table))
+    grid = _check_grid(spec.name, spec.grid, experiment.table)
+    if (count := math.prod(len(v) for v in grid.values() if isinstance(v, list))) > MAX_POINTS:
+        raise InfeasibleGridError(f"{spec.name} grid has {count} points (at most {MAX_POINTS})")
+    points = experiment.points(grid)
     for params in points:
         if (seconds := experiment.seconds(params, spec.trials)) > MAX_POINT_SECONDS:
             raise InfeasibleGridError(

@@ -7,7 +7,7 @@ with uniform probabilities; `StabTableau.support` extracts it exactly.
 from __future__ import annotations
 
 from .circuit import MAX_TABLEAU_QUBITS, Circuit
-from .gf2 import AffineSubspace, BitMatrix, BitVec, _build_pivots, _lsb, _reduced_echelon
+from .gf2 import AffineSubspace, BitMatrix, BitVec, _build_pivots, _lsb, _solutions
 
 
 def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
@@ -100,8 +100,8 @@ class StabTableau:
         Z-only elements of the stabilizer group pin affine constraints
         <z, x> = sign bit; the constraint system's solution set is A. One
         elimination of the stabilizer rows, X part first, finds the products
-        whose X parts cancel; their signed Z parts are brought once to the
-        unique reduced echelon form, which gives the shift and the basis.
+        whose X parts cancel; their signed Z parts, rows z | sign << n, go
+        to gf2's solution-set read-out, which gives the shift and the basis.
         """
         if self._support is not None:
             return self._support
@@ -121,15 +121,9 @@ class StabTableau:
                 sel &= sel - 1
                 x, z, r = _pauli_mul(x, z, r, xs[j], zs[j], (self._r >> (n + j)) & 1)
             constraints.append(z | (r << n))
-        # Rows z | sign << n keyed by pivot column; a pivot at n means 0 = 1.
-        echelon = _reduced_echelon(constraints)
-        if n in echelon:
+        self._support = _solutions(constraints, n)
+        if self._support is None:
             raise AssertionError("inconsistent support constraints")
-        # Column f < n of the echelon lists the pivots that free variable f
-        # feeds; column n holds the signs, which are the shift.
-        cols = BitMatrix(n, n + 1, [echelon.get(c, 0) for c in range(n)]).transpose().data
-        basis = [cols[f] | (1 << f) for f in range(n) if f not in echelon]
-        self._support = AffineSubspace._from_cols(n, basis, cols[n])
         return self._support
 
     def sample(self, rng) -> BitVec:

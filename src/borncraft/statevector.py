@@ -45,7 +45,7 @@ def _xor_table(cols: list[int]) -> np.ndarray:
     return table
 
 
-def _run(arr: np.ndarray, bits: dict[int, int], layers, check_norm: bool = False) -> np.ndarray:
+def _run(arr: np.ndarray, bits: dict[int, int], layers) -> np.ndarray:
     """Apply the layers of gates to the rows of arr, whose index bit bits[q] is
     qubit q; columns pass through, so states (one column) and unitaries share
     this kernel. A qubit not in bits joins as |0> on the next top bit: the rows
@@ -56,8 +56,8 @@ def _run(arr: np.ndarray, bits: dict[int, int], layers, check_norm: bool = False
     invertible GF(2) matrix M. A run of them, across layers, folds into one
     map P (the product of the Ms in order), kept as its columns cols[b] = P·e_b
     and applied as one gather, new[y] = old[P·y], before a one-qubit gate, a
-    join, and the end; values only move. With check_norm, the norm is checked
-    after each layer that holds a one-qubit gate: a permutation cannot move it.
+    join, and the end; values only move. A state (one column) has its norm
+    checked after each layer with a one-qubit gate: a permutation cannot move it.
     """
     cols = None
     for layer in layers:
@@ -82,7 +82,7 @@ def _run(arr: np.ndarray, bits: dict[int, int], layers, check_norm: bool = False
                 cols[b[0]] ^= cols[b[1]]
             else:
                 cols[b[0]], cols[b[1]] = cols[b[1]], cols[b[0]]
-        if check_norm and mixes:
+        if mixes and arr.shape[1] == 1:
             norm = np.linalg.norm(arr)
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValueError(f"norm drifted to {norm} during simulation")
@@ -101,7 +101,7 @@ def run_state(c: Circuit) -> np.ndarray:
     if n > _MAX_TABLE_BITS:
         raise ValueError(f"statevector backend limited to {_MAX_TABLE_BITS} qubits")
     bits: dict[int, int] = {}
-    arr = _run(np.ones((1, 1), dtype=complex), bits, c.layers, check_norm=True).reshape(-1)
+    arr = _run(np.ones((1, 1), dtype=complex), bits, c.layers).reshape(-1)
     if list(bits) != list(range(n)):
         state = np.zeros(1 << n, dtype=complex)
         state[_xor_table([1 << q for q in bits])] = arr

@@ -12,6 +12,7 @@ import pytest
 
 from borncraft.cli import MAX_INPUT_CHARS, main
 from borncraft.dist import dist_from_json
+from borncraft.harness import MAX_POINTS
 
 PARITY_TEXT = """qubits 3
 H 0
@@ -325,6 +326,34 @@ def test_experiment_point_over_the_time_bound_exit_3_naming_it(capsys, name, gri
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith(f"error: {name} point {point} would take")
+
+
+def test_experiment_over_the_point_cap_exit_3(capsys):
+    grid = json.dumps({"k": [1] * (MAX_POINTS + 1)})
+    assert main(["experiment", "t-noise", "--grid", grid]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: t-noise grid has {MAX_POINTS + 1} points (at most {MAX_POINTS})\n"
+
+
+def test_grid_of_25m_points_exit_3_in_bounded_memory(tmp_path):
+    # 5,000 values each in m and k: a 30 KB file whose 25 M points are counted,
+    # not listed, under a 200 MB address-space limit.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (200_000 << 10, 200_000 << 10))
+
+    grid = tmp_path / "wide.json"
+    grid.write_text(json.dumps({"n": 16, "m": [4] * 5000, "k": [4] * 5000}), encoding="utf-8")
+    timed = ("import sys, time; from borncraft.cli import main; start = time.perf_counter(); "
+             "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", timed, "experiment", "recovery-curve",
+                           "--grid", f"@{grid}", "--trials", "1"],
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 3 and float(proc.stdout) < 1.0
+    assert proc.stderr == (
+        f"error: recovery-curve grid has 25000000 points (at most {MAX_POINTS})\n")
 
 
 def test_learn_closure_subnormal_delta_exit_2(parity_file, capsys):

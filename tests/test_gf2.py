@@ -157,41 +157,41 @@ def test_in_affine_span_dimension_mismatch():
         in_affine_span(r, BitVec.zeros(3), BitVec.zeros(4))
 
 
-def test_in_affine_span_matches_enumeration():
-    rng = random.Random(5)
-    for _ in range(100):
-        n = rng.randrange(1, 8)
-        m = rng.randrange(0, n + 1)
-        cols = [BitVec(n, rng.getrandbits(n)) for _ in range(m)]
-        r = BitMatrix.from_cols(cols, rows=n)
-        t = BitVec(n, rng.getrandbits(n))
-        members = brute_affine([c.bits for c in cols], t.bits)
-        for _ in range(10):
-            x = BitVec(n, rng.getrandbits(n))
-            assert in_affine_span(r, t, x) == (x.bits in members)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_in_affine_span_matches_enumeration(data):
+    n = data.draw(st.integers(0, 8), label="n")
+    cols = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8), label="cols")
+    t = data.draw(st.integers(0, (1 << n) - 1), label="t")
+    r = BitMatrix.from_cols([BitVec(n, c) for c in cols], rows=n)
+    members = brute_affine(cols, t)
+    for x in range(1 << n):
+        assert in_affine_span(r, BitVec(n, t), BitVec(n, x)) == (x in members)
 
 
 # --- solve / nullspace --------------------------------------------------------
 
 
-def test_solve_and_nullspace():
-    rng = random.Random(17)
-    for _ in range(150):
-        rows = rng.randrange(1, 7)
-        cols = rng.randrange(1, 7)
-        m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
-        # consistent system: pick x, solve for m.x
-        x = BitVec(cols, rng.getrandbits(cols))
-        b = m.mul_vec(x)
-        got = solve(m, b)
-        assert got is not None
-        assert m.mul_vec(got) == b
-        # nullspace vectors map to zero and count matches rank-nullity
-        basis = nullspace(m)
-        assert len(basis) == cols - rank(m)
-        for v in basis:
-            assert m.mul_vec(v).bits == 0
-        assert len(brute_span([v.bits for v in basis])) == 1 << len(basis)
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_solve_and_nullspace(data):
+    # Every x in F2^cols is tried, so inconsistent systems and set equality
+    # are checked exactly, the empty shapes included.
+    cols = data.draw(st.integers(0, 8), label="cols")
+    rows = data.draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=8), label="rows")
+    m = BitMatrix(len(rows), cols, rows)
+    b = BitVec(len(rows), data.draw(st.integers(0, (1 << len(rows)) - 1), label="b"))
+    solutions = {x for x in range(1 << cols) if m.mul_vec(BitVec(cols, x)) == b}
+    shift, basis = solve(m, b), nullspace(m)
+    # A column is a pivot when some vector of the row space has its lowest set bit there.
+    pivots = {v & -v for v in brute_span(rows) if v}
+    free = [1 << f for f in range(cols) if 1 << f not in pivots]
+    assert [v.bits & sum(free) for v in basis] == free
+    if not solutions:
+        assert shift is None
+    else:
+        assert shift.bits & sum(free) == 0
+        assert brute_affine([v.bits for v in basis], shift.bits) == solutions
 
 
 def test_solve_inconsistent():

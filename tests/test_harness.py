@@ -16,6 +16,7 @@ from borncraft.harness import (
     EXPERIMENTS,
     MAX_PARITY_TV_BITS,
     MAX_POINT_SECONDS,
+    MAX_POINTS,
     MAX_TRIALS,
     ExperimentSpec,
     InfeasibleGridError,
@@ -274,6 +275,24 @@ def test_caps_refuse_before_any_trial(name, grid, trials):
     with pytest.raises(InfeasibleGridError):
         run(ExperimentSpec(name, grid, trials, 0))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name,grid", [
+    ("t-noise", {"k": [1] * MAX_POINTS}),
+    ("recovery-curve", {"n": 2, "m": [0] * 32, "k": [0] * (MAX_POINTS // 32)}),
+    ("recovery-curve", {"n": 2, "m": [0] * (MAX_POINTS // 16), "k_offsets": [0] * 16}),
+])
+def test_point_cap_admits_grids_up_to_it(name, grid):
+    # The count is the product of the lengths of the grid's lists; one more
+    # value in any list is refused before a point is listed.
+    assert len(run(ExperimentSpec(name, grid, 1, 0)).points) == MAX_POINTS
+    for key, values in grid.items():
+        if isinstance(values, list):
+            over = dict(grid, **{key: values + values[:1]})
+            count = MAX_POINTS // len(values) * (len(values) + 1)
+            with pytest.raises(InfeasibleGridError,
+                               match=f"^{name} grid has {count} points \\(at most {MAX_POINTS}\\)$"):
+                run(ExperimentSpec(name, over, 1, 0))
 
 
 def test_opnorm_tv_trial_caps_admit_points_up_to_them(monkeypatch):
