@@ -4,6 +4,8 @@ reproducible experiment harness."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .gf2 import (
     AffineSubspace,
     BitMatrix,
@@ -66,55 +68,8 @@ from .harness import (
     wilson_sigma,
 )
 
-__all__ = [
-    "AffineSubspace",
-    "AffineUniform",
-    "BitMatrix",
-    "BitVec",
-    "Circuit",
-    "DenseDist",
-    "Dist",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FunctionDist",
-    "Gate",
-    "InfeasibleGridError",
-    "NoisyParity",
-    "ParityCorrelation",
-    "PointMass",
-    "Product",
-    "SampleOracle",
-    "StatOracle",
-    "T_NOISE_RATE",
-    "circuit_unitary",
-    "closure_learn",
-    "depth",
-    "dist_from_json",
-    "dist_to_json",
-    "embed",
-    "format_circuit",
-    "in_affine_span",
-    "lpn_brute_force",
-    "marginalize",
-    "max_independent_subset",
-    "nullspace",
-    "opnorm_tv_check",
-    "parity_circuit",
-    "parse_circuit",
-    "random_circuit",
-    "rank",
-    "recover_affine",
-    "route_nearest_neighbor",
-    "run",
-    "run_state",
-    "simulate_clifford",
-    "solve",
-    "sq_correlation_learner",
-    "StabTableau",
-    "sv_distribution",
-    "trial_rng",
-    "tv",
-    "uniform",
-    "wilson_interval",
-    "wilson_sigma",
-]
+# Every name imported above is public, and nothing else is.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .circuit import MAX_TABLEAU_QUBITS
 from .gf2 import AffineSubspace, BitMatrix, BitVec
 
 DIST_SCHEMA = "dist_v1"
@@ -439,6 +440,15 @@ def _hex_field(key: str, width: int, s: str) -> BitVec:
         raise ValueError(f"{DIST_SCHEMA} field {key!r}: {e}") from None
 
 
+def _bit_count(obj: _Fields, key: str) -> int:
+    """Field key as a vector width, refused before a BitVec that wide is
+    built when it exceeds the widest circuit any backend simulates."""
+    v = obj.typed(key, int)
+    if v > MAX_TABLEAU_QUBITS:
+        raise ValueError(f"{DIST_SCHEMA} field {key!r} is wider than {MAX_TABLEAU_QUBITS} bits")
+    return v
+
+
 def dist_from_json(obj: dict, _depth: int = 0) -> Dist:
     if _depth > _MAX_DEPTH:
         raise ValueError(f"{DIST_SCHEMA} objects nest at most {_MAX_DEPTH} levels deep")
@@ -449,12 +459,15 @@ def dist_from_json(obj: dict, _depth: int = 0) -> Dist:
     obj = _Fields(obj)
     kind = obj.typed("kind", str)
     if kind == "affine_uniform":
-        n, dim = obj.typed("n", int), obj.typed("dim", int)
+        n, dim = _bit_count(obj, "n"), obj.typed("dim", int)
         rows = obj.typed("basis_rows", list, str)
+        # Before any row is unpacked dim bits wide; independent columns give dim <= n.
+        if len(rows) != n or not 0 <= dim <= n:
+            raise ValueError(f"{DIST_SCHEMA} affine_uniform needs n basis rows and 0 <= dim <= n")
         basis = BitMatrix(n, dim, [_hex_field("basis_rows", dim, r).bits for r in rows])
         return AffineUniform(AffineSubspace(basis, _hex_field("shift", n, obj.typed("shift", str))))
     if kind == "noisy_parity":
-        s = _hex_field("s", obj.typed("k", int), obj.typed("s", str))
+        s = _hex_field("s", _bit_count(obj, "k"), obj.typed("s", str))
         return NoisyParity(s, _eta_from_json(obj.typed("eta", (int, float, str))))
     if kind == "function":
         base = dist_from_json(obj.typed("base", dict), _depth + 1)
@@ -464,7 +477,7 @@ def dist_from_json(obj: dict, _depth: int = 0) -> Dist:
         table = [(packed >> i) & 1 for i in range(1 << base.n)]
         return FunctionDist(table, base)
     if kind == "point_mass":  # no longer written: a point mass is an affine_uniform of dim 0
-        return PointMass(_hex_field("value", obj.typed("n", int), obj.typed("value", str)))
+        return PointMass(_hex_field("value", _bit_count(obj, "n"), obj.typed("value", str)))
     if kind == "product":
         return Product([dist_from_json(p, _depth + 1) for p in obj.typed("parts", list, dict)])
     if kind == "dense":
@@ -562,8 +575,12 @@ class StatOracle:
             raise ValueError("tau must lie in (0, 1)")
         if not 0 < failure_prob < 1 or query_budget < 1:
             raise ValueError("bad failure budget")
-        per_query = failure_prob / query_budget
-        count = math.ceil(math.log(2.0 / per_query) / (2.0 * tau * tau))
+        try:
+            per_query = failure_prob / query_budget
+            count = math.ceil(math.log(2.0 / per_query) / (2.0 * tau * tau))
+        except (ZeroDivisionError, OverflowError):  # tau^2, delta' or the count leave the floats
+            raise ValueError("tau and failure budget need more samples per query "
+                             "than a float can count") from None
         return cls(dist, tau, "empirical", rng=rng, samples_per_query=count)
 
     def query(self, phi: Callable[[BitVec], float]):

@@ -111,6 +111,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError("successes must lie in 0..trials")
     z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials

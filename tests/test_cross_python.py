@@ -5,7 +5,8 @@
 function. The test runs them in subprocesses under each pyenv-installed
 CPython 3.10, 3.12 and 3.13 that exists (it skips the missing ones), with a
 stub `numpy` first on the path that holds only `sqrt` and `ndarray`, so any
-other NumPy call fails. It requires the hashes of the running interpreter.
+other NumPy call fails. It requires the hashes of the running interpreter,
+and the same `borncraft.__all__`, which is derived from the import block.
 
 Its limit: every float these grids sum is dyadic with a small denominator
 (TVs of 0, 1/2, 3/4, ...; mean TV 0 for `sq-vs-sample`), so each sum is
@@ -34,8 +35,9 @@ SPECS = [
 
 _SCRIPT = """
 import hashlib, json, sys
+import borncraft
 from borncraft.harness import ExperimentSpec, run
-out = {}
+out = {"__all__": sorted(borncraft.__all__)}
 for name, grid, trials in json.loads(sys.argv[1]):
     obj = run(ExperimentSpec(name, grid, trials, 1)).to_dict()
     del obj["generated_at"]

@@ -4,6 +4,8 @@ serialization, and the sample/statistical-query oracles."""
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -647,6 +649,31 @@ def test_from_hex_reads_either_case_and_checks_width():
         BitVec.from_hex(7, "80")
 
 
+@pytest.mark.parametrize("obj,field", [
+    ({"kind": "affine_uniform", "n": 1, "dim": 1 << 40, "basis_rows": ["1"], "shift": "0"}, "dim"),
+    ({"kind": "affine_uniform", "n": 200_000, "dim": 200_000, "basis_rows": ["1"] * 200_000,
+      "shift": "0"}, "'n'"),
+    ({"kind": "noisy_parity", "k": 1 << 40, "s": "1", "eta": 0}, "'k'"),
+    ({"kind": "point_mass", "n": 1 << 40, "value": "1"}, "'n'"),
+], ids=["affine_uniform-dim", "affine_uniform-n", "noisy_parity-k", "point_mass-n"])
+def test_json_widths_refused_before_allocating(obj, field):
+    # A 2^40-bit vector takes 128 GB, and the 1 MB object of 200,000 rows
+    # unpacks a 200,000^2-bit matrix (40 GB); under a 200 MB address-space
+    # limit each width must be refused with ValueError, not MemoryError.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (200_000 << 10, 200_000 << 10))
+
+    code = ("import json, sys\nfrom borncraft import dist_from_json\n"
+            "try:\n    dist_from_json(json.load(sys.stdin))\n"
+            "except ValueError as e:\n    print(e)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          input=json.dumps({"schema": "dist_v1", **obj}), capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert field in proc.stdout
+
+
 def test_json_function_base_over_cap_fails_before_unpacking():
     # the table would be 2^64 bits wide
     base = {"schema": "dist_v1", "kind": "point_mass", "n": 64, "value": "0"}
@@ -730,6 +757,13 @@ def test_empirical_rejects_bad_tau_before_dividing():
         with pytest.raises(ValueError, match="tau"):
             StatOracle.empirical(uniform(2), tau, random.Random(0),
                                  failure_prob=0.01, query_budget=5)
+    # tau^2 underflows to 0, the per-query budget underflows to 0, the query
+    # budget is too large for a float, and the count is infinite.
+    for tau, failure, budget in [(1e-200, 0.01, 5), (0.1, 1e-300, 10**100),
+                                 (0.1, 0.01, 10**400), (1e-160, 0.01, 5)]:
+        with pytest.raises(ValueError, match="samples per query"):
+            StatOracle.empirical(uniform(2), tau, random.Random(0),
+                                 failure_prob=failure, query_budget=budget)
 
 
 def test_boolean_function_query_correspondence():

@@ -1,0 +1,115 @@
+"""Input guards that no other test reaches: each row is one call and the
+ValueError message it must raise."""
+
+import random
+
+import numpy as np
+import pytest
+
+from borncraft.circuit import Circuit, Gate, parity_circuit, parse_circuit, random_circuit
+from borncraft.dist import (
+    DenseDist,
+    FunctionDist,
+    NoisyParity,
+    ParityCorrelation,
+    Product,
+    StatOracle,
+    dist_from_json,
+    uniform,
+)
+from borncraft.gf2 import AffineSubspace, BitMatrix, BitVec, max_independent_subset, solve
+from borncraft.harness import wilson_interval
+from borncraft.learn import lpn_brute_force, recover_affine, sq_correlation_learner
+from borncraft.stabilizer import StabTableau
+from borncraft.statevector import opnorm_tv_check
+
+
+def _flat(n: int) -> AffineSubspace:
+    return uniform(n).subspace
+
+
+def _empirical(**kw):
+    return StatOracle.empirical(uniform(2), 0.1, random.Random(0), **kw)
+
+
+def _sq(k: int, budget: int):
+    return sq_correlation_learner(StatOracle(uniform(2), 0.1), k, budget, random.Random(0))
+
+
+_GUARDS = [
+    # gf2
+    ("BitVec-negative-n", lambda: BitVec(-1), "length must be nonnegative"),
+    ("BitVec-from_str-bad-char", lambda: BitVec.from_str("012"), "invalid bit character '2'"),
+    ("BitVec-dot-lengths", lambda: BitVec(2).dot(BitVec(3)), "length mismatch in dot product"),
+    ("BitVec-take-range", lambda: BitVec(2).take(3), "take length out of range"),
+    ("BitVec-drop-range", lambda: BitVec(2).drop(-1), "drop length out of range"),
+    ("BitMatrix-negative-dims", lambda: BitMatrix(-1, 2, []), "dimensions must be nonnegative"),
+    ("BitMatrix-row-count", lambda: BitMatrix(2, 2, [0]), "row count does not match data"),
+    ("from_rows-empty", lambda: BitMatrix.from_rows([]), "cols required"),
+    ("from_rows-mixed", lambda: BitMatrix.from_rows([BitVec(2), BitVec(3)]), "rows have mixed"),
+    ("from_cols-empty", lambda: BitMatrix.from_cols([]), "rows required"),
+    ("from_cols-mixed", lambda: BitMatrix.from_cols([BitVec(2), BitVec(3)]), "columns have mixed"),
+    ("mul_vec-shape", lambda: BitMatrix(2, 2, [0, 0]).mul_vec(BitVec(3)), "dimension mismatch"),
+    ("max_independent_subset-mixed", lambda: max_independent_subset([BitVec(2), BitVec(3)]),
+     "vectors have mixed lengths"),
+    ("solve-shape", lambda: solve(BitMatrix(2, 2, [0, 0]), BitVec(3)), "dimension mismatch"),
+    ("AffineSubspace-shift", lambda: AffineSubspace(BitMatrix(2, 0, [0, 0]), BitVec(3)),
+     "basis/shift dimension mismatch"),
+    ("AffineSubspace-random-dim", lambda: AffineSubspace.random(random.Random(0), 2, 3),
+     "dimension out of range"),
+    ("contains-n", lambda: _flat(2).contains(BitVec(3)), "dimension mismatch"),
+    ("intersection_dim-n", lambda: _flat(2).intersection_dim(_flat(3)), "dimension mismatch"),
+    # dist
+    ("NoisyParity-eta", lambda: NoisyParity(BitVec(1), 1), r"eta must lie in \[0, 1\)"),
+    ("FunctionDist-base-width", lambda: FunctionDist([0, 0], uniform(21)),
+     "truth tables supported up to 20 input bits"),
+    ("FunctionDist-table-length", lambda: FunctionDist([0], uniform(1)),
+     "truth table length must be 2"),
+    ("FunctionDist-table-bits", lambda: FunctionDist([0, 2], uniform(1)),
+     "truth table entries must be bits"),
+    ("Product-empty", lambda: Product([]), "at least one component"),
+    ("DenseDist-shape", lambda: DenseDist(1, np.array([1.0])), "probability count must be 2"),
+    ("ParityCorrelation-length", lambda: ParityCorrelation(BitVec(2))(BitVec(2)),
+     r"input length must be len\(t\)\+1"),
+    ("expectation-support-budget", lambda: StatOracle(uniform(23), 0.1).query(lambda x: 1),
+     "support too large for an exact expectation"),
+    ("samples_per_query-positive",
+     lambda: StatOracle(uniform(2), 0.1, "empirical", rng=random.Random(0), samples_per_query=0),
+     "samples_per_query must be positive"),
+    ("empirical-failure-prob", lambda: _empirical(failure_prob=0, query_budget=5),
+     "bad failure budget"),
+    ("empirical-query-budget", lambda: _empirical(failure_prob=0.1, query_budget=0),
+     "bad failure budget"),
+    ("dist_from_json-kind", lambda: dist_from_json({"schema": "dist_v1", "kind": "bogus"}),
+     "unknown dist kind 'bogus'"),
+    # learn
+    ("recover_affine-empty", lambda: recover_affine([]), "need at least one sample"),
+    ("sq_correlation_learner-k", lambda: _sq(0, 10), "k must be positive"),
+    ("sq_correlation_learner-budget", lambda: _sq(1, -1), "budget must be nonnegative"),
+    ("lpn_brute_force-k", lambda: lpn_brute_force([], 0), "k must be positive"),
+    ("lpn_brute_force-sample-length", lambda: lpn_brute_force([(BitVec(3), 0)], 2),
+     "sample length does not match k"),
+    # elsewhere
+    ("opnorm_tv_check-n", lambda: opnorm_tv_check(Circuit(1), Circuit(2)),
+     "different qubit counts"),
+    ("opnorm_tv_check-cap", lambda: opnorm_tv_check(Circuit(11), Circuit(11)),
+     "limited to 10 qubits"),
+    ("random_circuit-n", lambda: random_circuit(random.Random(0), 0, 1), "at least one qubit"),
+    ("parse_circuit-negative-n", lambda: parse_circuit("qubits -1\n"),
+     "line 1: negative qubit count"),
+    ("parity_circuit-pad", lambda: parity_circuit(BitVec(1, 1), False, pad=-1),
+     "pad must be nonnegative"),
+    ("StabTableau-apply-T", lambda: StabTableau(1).apply(Gate("T", (0,))),
+     "non-Clifford gate T"),
+    ("wilson_interval-trials", lambda: wilson_interval(0, 0), "trials must be positive"),
+    ("wilson_interval-successes-above", lambda: wilson_interval(5, 3),
+     r"successes must lie in 0\.\.trials"),
+    ("wilson_interval-successes-below", lambda: wilson_interval(-1, 3),
+     r"successes must lie in 0\.\.trials"),
+]
+
+
+@pytest.mark.parametrize("call,match", [pytest.param(c, m, id=i) for i, c, m in _GUARDS])
+def test_guard_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
