@@ -1,6 +1,6 @@
 """Command-line interface: circuit simulation, closure learning, experiments.
 
-Exit codes: 0 success, 2 bad arguments or inputs, 3 infeasible experiment grid.
+Exit codes: 0 success, 2 bad arguments, inputs or output, 3 infeasible experiment grid.
 """
 
 from __future__ import annotations
@@ -168,12 +168,19 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except InfeasibleGridError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # stdout: a closed pipe or a full disk
+        # Whatever stdout still buffers goes to devnull at exit, not to the failed file.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2
 
 

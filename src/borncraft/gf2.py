@@ -277,8 +277,7 @@ def _solutions(rows, cols: int) -> AffineSubspace | None:
                 pivots[c2] = row ^ pivots[c]
     # Column f < cols lists the pivots that f feeds; column cols is the shift.
     t = BitMatrix(cols, cols + 1, [pivots.get(c, 0) for c in range(cols)]).transpose().data
-    return AffineSubspace._from_cols(
-        cols, [t[f] | 1 << f for f in range(cols) if f not in pivots], t[cols])
+    return AffineSubspace._span(cols, [t[f] | 1 << f for f in range(cols) if f not in pivots], t[cols])
 
 
 def solve(m: BitMatrix, b: BitVec) -> BitVec | None:
@@ -297,9 +296,9 @@ def nullspace(m: BitMatrix) -> list[BitVec]:
 class AffineSubspace:
     """A = {basis.b + shift : b in F2^dim} with independent basis columns.
 
-    Stored as packed columns and a shift; the pivot dict of the columns is
-    kept once it is known, and the basis matrix is built on demand. Values
-    are immutable after construction and safe to share.
+    Stored as packed columns, their pivot dict (built with the set) and a
+    shift; the basis matrix is built on demand. Values are immutable after
+    construction and safe to share.
     """
 
     __slots__ = ("shift", "_cols", "_pivots")
@@ -317,12 +316,12 @@ class AffineSubspace:
 
     @classmethod
     def _from_cols(cls, n: int, cols: Sequence[int], shift_bits: int,
-                   pivots: dict[int, int] | None = None) -> "AffineSubspace":
-        """Construct from known-independent packed column vectors; pivots,
-        when given, is _build_pivots(cols) and is never mutated after."""
+                   pivots: dict[int, int]) -> "AffineSubspace":
+        """Construct from independent packed column vectors, masked to n bits,
+        and pivots = _build_pivots(cols), which is never mutated after."""
         sub = object.__new__(cls)
         sub.shift = BitVec(n, shift_bits)
-        sub._cols = tuple(c & ((1 << n) - 1) for c in cols)
+        sub._cols = tuple(cols)
         sub._pivots = pivots
         return sub
 
@@ -338,11 +337,11 @@ class AffineSubspace:
 
     @classmethod
     def point(cls, t: BitVec) -> "AffineSubspace":
-        return cls._from_cols(t.n, (), t.bits)
+        return cls._span(t.n, (), t.bits)
 
     @classmethod
     def full(cls, n: int) -> "AffineSubspace":
-        return cls._from_cols(n, tuple(1 << i for i in range(n)), 0)
+        return cls._span(n, [1 << i for i in range(n)], 0)
 
     @classmethod
     def random(cls, rng, n: int, m: int) -> "AffineSubspace":
@@ -364,11 +363,6 @@ class AffineSubspace:
         """The n x dim matrix whose columns are the basis vectors."""
         return BitMatrix(self.dim, self.n, self._cols).transpose()
 
-    def _pivot_dict(self) -> dict[int, int]:
-        if self._pivots is None:
-            self._pivots = _build_pivots(self._cols)
-        return self._pivots
-
     @property
     def n(self) -> int:
         return self.shift.n
@@ -384,7 +378,7 @@ class AffineSubspace:
     def contains(self, x: BitVec) -> bool:
         if x.n != self.n:
             raise ValueError("dimension mismatch")
-        return _reduce(self._pivot_dict(), x.bits ^ self.shift.bits) == 0
+        return _reduce(self._pivots, x.bits ^ self.shift.bits) == 0
 
     def sample(self, rng) -> BitVec:
         cols = self._cols
@@ -407,7 +401,7 @@ class AffineSubspace:
         """Set equality of the two subspaces."""
         if self.n != other.n or self.dim != other.dim:
             return False
-        pivots = self._pivot_dict()
+        pivots = self._pivots
         if _reduce(pivots, self.shift.bits ^ other.shift.bits):
             return False
         return all(_reduce(pivots, c) == 0 for c in other._cols)
@@ -416,7 +410,7 @@ class AffineSubspace:
         """dim(A intersect B), or None when the intersection is empty."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        pivots = _build_pivots(other._cols, dict(self._pivot_dict()))
+        pivots = _build_pivots(other._cols, dict(self._pivots))
         if _reduce(pivots, self.shift.bits ^ other.shift.bits):
             return None
         return self.dim + other.dim - len(pivots)

@@ -236,7 +236,7 @@ def _parity_subspace(s: BitVec) -> AffineSubspace:
     """The graph {(x, s.x)} as a k-dimensional subspace of F2^(k+1)."""
     k = s.n
     cols = tuple((1 << i) | (s[i] << k) for i in range(k))
-    return AffineSubspace._from_cols(k + 1, cols, 0)
+    return AffineSubspace._span(k + 1, cols, 0)
 
 
 def sq_trial(k: int, tau: float, budget: int, rng) -> tuple[bool, int]:
@@ -398,6 +398,11 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     if spec.name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {spec.name!r} (known: {known})")
+    if not isinstance(spec.grid, dict):
+        raise ValueError("grid must be a dict")
+    for key in ("trials", "master_seed"):
+        if not _of_type(getattr(spec, key), int):
+            raise ValueError(f"{key} must be an int")
     if spec.trials < 1:
         raise ValueError("trials must be positive")
     if spec.trials > MAX_TRIALS:

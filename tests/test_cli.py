@@ -409,3 +409,34 @@ def test_grid_nested_deeper_than_the_stack_exit_2(tmp_path, capsys, depth):
         assert main(["experiment", "t-noise", "--grid", grid, "--trials", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: bad grid JSON")
+
+
+def _one_write_error_line(stderr: str) -> None:
+    assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+    assert stderr.startswith("error: cannot write output: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_output_to_a_full_device_exit_2(parity_file, command):
+    argv = {"simulate": ["simulate", parity_file],
+            "experiment": ["experiment", "t-noise", "--grid", '{"k": [1]}', "--trials", "1"]}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "borncraft.cli", *argv[command]],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    _one_write_error_line(proc.stderr)
+
+
+def test_samples_into_a_pipe_closed_after_the_first_line_exit_2(parity_file):
+    # 100,000 four-byte lines overrun the pipe's buffer, so the writer is
+    # still writing when the reader goes away.
+    proc = subprocess.Popen([sys.executable, "-m", "borncraft.cli", "simulate", parity_file,
+                             "--samples", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
+    assert re.fullmatch("[01]{3}\n", first)
+    _one_write_error_line(proc.stderr.read())
+    proc.stderr.close()

@@ -234,7 +234,7 @@ def affine_triples(draw):
     for _ in range(2):
         if draw(st.booleans()):
             t = draw(st.integers(0, (1 << n) - 1))
-            subs.append(AffineSubspace._from_cols(n, first._cols, first.shift.bits ^ t))
+            subs.append(AffineSubspace._span(n, first._cols, first.shift.bits ^ t))
         else:
             subs.append(AffineSubspace.random(rng, n, draw(st.integers(0, n))))
     return [AffineUniform(s) for s in subs]

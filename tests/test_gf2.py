@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from borncraft.gf2 import (
     AffineSubspace,
     BitMatrix,
     BitVec,
+    _build_pivots,
+    _solutions,
     in_affine_span,
     max_independent_subset,
     nullspace,
@@ -321,20 +324,36 @@ def subspaces(draw, n):
     """(subspace of F2^n, its member set computed without the subspace), built
     through one of the construction paths."""
     rng = draw(st.randoms(use_true_random=False))
-    path = draw(st.sampled_from(
-        ["init", "from_cols", "random", "recover_affine", "support", "marginalize", "json"]
-    ))
-    if path in ("init", "from_cols", "json"):
+    path = draw(st.sampled_from(["init", "span", "point", "full", "solutions", "random",
+                                 "recover_affine", "support", "marginalize", "json"]))
+    if path in ("init", "json"):
         src = AffineSubspace.random(rng, n, draw(st.integers(0, n)))
         members = brute_affine(src._cols, src.shift.bits)
         if path == "init":
             sub = AffineSubspace(BitMatrix.from_cols(
                 [BitVec(n, c) for c in src._cols], rows=n), src.shift)
-        elif path == "from_cols":
-            sub = AffineSubspace._from_cols(n, src._cols, src.shift.bits)
         else:
             sub = dist_from_json(json.loads(json.dumps(dist_to_json(AffineUniform(src))))).subspace
         return sub, members
+    if path == "span":
+        # Repeats, dependent vectors and bits at or above n included.
+        vecs = draw(st.lists(st.integers(0, (1 << (n + 2)) - 1), max_size=n + 3))
+        shift = draw(st.integers(0, (1 << (n + 2)) - 1))
+        mask = (1 << n) - 1
+        return (AffineSubspace._span(n, vecs, shift),
+                brute_affine([v & mask for v in vecs], shift & mask))
+    if path == "point":
+        t = draw(st.integers(0, (1 << n) - 1))
+        return AffineSubspace.point(BitVec(n, t)), {t}
+    if path == "full":
+        return AffineSubspace.full(n), set(range(1 << n))
+    if path == "solutions":
+        # A consistent system <row, x> = <row, x0>, read out as solve and nullspace do.
+        x0 = draw(st.integers(0, (1 << n) - 1))
+        rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+        members = {x for x in range(1 << n)
+                   if all((r & x).bit_count() % 2 == (r & x0).bit_count() % 2 for r in rows)}
+        return _solutions([r | ((r & x0).bit_count() & 1) << n for r in rows], n), members
     if path == "random":
         sub = AffineSubspace.random(rng, n, draw(st.integers(0, n)))
         return sub, brute_affine(sub._cols, sub.shift.bits)
@@ -353,7 +372,7 @@ def subspaces(draw, n):
     return sub, {x & ((1 << n) - 1) for x in brute_affine(big._cols, big.shift.bits)}
 
 
-_OPS = ["contains", "elements", "same_set", "same_set_rev", "inter", "inter_rev", "dim"]
+_OPS = ["contains", "eval", "elements", "same_set", "same_set_rev", "inter", "inter_rev", "dim"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,15 +386,23 @@ def test_subspace_methods_match_enumeration_on_every_path(data):
         b, sb = recover_affine([BitVec(n, x) for x in pts]).subspace, sa
     else:
         b, sb = data.draw(subspaces(n), label="b")
-    # Run every check twice, in a drawn order, so that a call which changed a
-    # cached elimination would show in a later call.
+    # Every path builds the pivot dict of its columns with the set.
+    for sub in (a, b):
+        assert sub._pivots == _build_pivots(sub._cols)
+    # Run every check twice, in a drawn order, so that a call which changed
+    # the pivot dict would show in a later call.
     ops = data.draw(st.permutations(_OPS * 2), label="ops")
     for op in ops:
-        if op == "contains":
+        if op in ("contains", "eval"):
             xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
             for x in xs + sorted(sa)[:4] + sorted(sb)[:4]:
-                assert a.contains(BitVec(n, x)) == (x in sa)
-                assert b.contains(BitVec(n, x)) == (x in sb)
+                for sub, members in ((a, sa), (b, sb)):
+                    if op == "contains":
+                        assert sub.contains(BitVec(n, x)) == (x in members)
+                    else:
+                        p = AffineUniform(sub).eval(BitVec(n, x))
+                        assert type(p) is Fraction
+                        assert p == (Fraction(1, 2 ** sub.dim) if x in members else 0)
         elif op == "elements":
             for sub, members in ((a, sa), (b, sb)):
                 got = [x.bits for x in sub.elements()]

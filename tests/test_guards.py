@@ -8,6 +8,7 @@ import pytest
 
 from borncraft.circuit import Circuit, Gate, parity_circuit, parse_circuit, random_circuit
 from borncraft.dist import (
+    MAX_SAMPLES_PER_QUERY,
     DenseDist,
     FunctionDist,
     NoisyParity,
@@ -18,7 +19,7 @@ from borncraft.dist import (
     uniform,
 )
 from borncraft.gf2 import AffineSubspace, BitMatrix, BitVec, max_independent_subset, solve
-from borncraft.harness import wilson_interval
+from borncraft.harness import ExperimentSpec, run, wilson_interval
 from borncraft.learn import lpn_brute_force, recover_affine, sq_correlation_learner
 from borncraft.stabilizer import StabTableau
 from borncraft.statevector import opnorm_tv_check
@@ -30,6 +31,17 @@ def _flat(n: int) -> AffineSubspace:
 
 def _empirical(**kw):
     return StatOracle.empirical(uniform(2), 0.1, random.Random(0), **kw)
+
+
+def _stat(samples_per_query):
+    return StatOracle(uniform(2), 0.1, "empirical", rng=random.Random(0),
+                      samples_per_query=samples_per_query)
+
+
+def _run(**kw):
+    """A one-point t-noise run with one field of its spec replaced."""
+    return run(ExperimentSpec(**{"name": "t-noise", "grid": {"k": [1]}, "trials": 1,
+                                 "master_seed": 0, **kw}))
 
 
 def _sq(k: int, budget: int):
@@ -73,15 +85,29 @@ _GUARDS = [
      r"input length must be len\(t\)\+1"),
     ("expectation-support-budget", lambda: StatOracle(uniform(23), 0.1).query(lambda x: 1),
      "support too large for an exact expectation"),
-    ("samples_per_query-positive",
-     lambda: StatOracle(uniform(2), 0.1, "empirical", rng=random.Random(0), samples_per_query=0),
-     "samples_per_query must be positive"),
+    ("samples_per_query-positive", lambda: _stat(0), "samples_per_query must be positive"),
+    ("samples_per_query-float", lambda: _stat(2.5), "samples_per_query must be an int"),
+    ("samples_per_query-bool", lambda: _stat(True), "samples_per_query must be an int"),
+    ("samples_per_query-cap", lambda: _stat(MAX_SAMPLES_PER_QUERY + 1),
+     f"at most {MAX_SAMPLES_PER_QUERY}"),
+    ("empirical-count-cap", lambda: StatOracle.empirical(
+        uniform(2), 1e-150, random.Random(0), failure_prob=0.01, query_budget=5),
+     f"at most {MAX_SAMPLES_PER_QUERY}"),
     ("empirical-failure-prob", lambda: _empirical(failure_prob=0, query_budget=5),
      "bad failure budget"),
     ("empirical-query-budget", lambda: _empirical(failure_prob=0.1, query_budget=0),
      "bad failure budget"),
     ("dist_from_json-kind", lambda: dist_from_json({"schema": "dist_v1", "kind": "bogus"}),
      "unknown dist kind 'bogus'"),
+    # harness
+    ("run-grid-none", lambda: _run(grid=None), "grid must be a dict"),
+    ("run-grid-int", lambda: _run(grid=5), "grid must be a dict"),
+    ("run-grid-str", lambda: _run(grid="k"), "grid must be a dict"),
+    ("run-trials-float", lambda: _run(trials=2.5), "trials must be an int"),
+    ("run-trials-str", lambda: _run(trials="3"), "trials must be an int"),
+    ("run-trials-bool", lambda: _run(trials=True), "trials must be an int"),
+    ("run-master_seed-str", lambda: _run(master_seed="x"), "master_seed must be an int"),
+    ("run-master_seed-none", lambda: _run(master_seed=None), "master_seed must be an int"),
     # learn
     ("recover_affine-empty", lambda: recover_affine([]), "need at least one sample"),
     ("sq_correlation_learner-k", lambda: _sq(0, 10), "k must be positive"),
@@ -113,3 +139,7 @@ _GUARDS = [
 def test_guard_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_samples_per_query_cap_is_admitted():
+    assert _stat(MAX_SAMPLES_PER_QUERY).samples_per_query == MAX_SAMPLES_PER_QUERY
