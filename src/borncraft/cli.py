@@ -26,6 +26,12 @@ from .circuit import parse_circuit
 # in 120-160 MB (16 MiB took 6 s and 350 MB; Python 3.11, 2-vCPU VM).
 MAX_INPUT_CHARS = 4 << 20
 
+# Most samples `simulate --samples` prints, checked before the circuit file
+# is read. The loop streams, so memory stays flat and only time grows: 10^5
+# samples of a 32-layer random circuit take 169 s and print 410 MB at
+# n = 4096, the widest circuit, and 3.5 s at n = 128 (Python 3.11, 2-vCPU VM).
+MAX_SAMPLES = 100_000
+
 
 def _read_text(path: str, what: str) -> str:
     try:
@@ -43,8 +49,8 @@ def _load_circuit(path: str):
 
 
 def _cmd_simulate(args) -> int:
-    if args.samples < 0:
-        raise ValueError("--samples must be nonnegative")
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples must lie in 0..{MAX_SAMPLES}")
     circuit = _load_circuit(args.circuit_file)
     rng = random.Random(args.seed)
     if args.backend == "stab":

@@ -346,6 +346,8 @@ class AffineSubspace:
     @classmethod
     def random(cls, rng, n: int, m: int) -> "AffineSubspace":
         """Uniformly shifted subspace with m independent random basis vectors."""
+        if type(n) is not int or type(m) is not int:  # a bool is an int, not a size
+            raise ValueError("n and m must be ints")
         if not 0 <= m <= n:
             raise ValueError("dimension out of range")
         pivots: dict[int, int] = {}

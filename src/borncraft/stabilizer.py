@@ -7,7 +7,7 @@ with uniform probabilities; `StabTableau.support` extracts it exactly.
 from __future__ import annotations
 
 from .circuit import MAX_TABLEAU_QUBITS, Circuit
-from .gf2 import AffineSubspace, BitMatrix, BitVec, _build_pivots, _lsb, _solutions
+from .gf2 import AffineSubspace, BitMatrix, _build_pivots, _lsb, _solutions
 
 
 def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
@@ -24,45 +24,45 @@ def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[in
 
 
 class StabTableau:
-    """2n generator rows (n destabilizers then n stabilizers), stored by qubit.
+    """The n stabilizer rows of the state, stored by qubit; row i starts as Z_i.
 
     Row i is the signed Pauli (-1)^rs[i] * P(xs[i], zs[i]) with the usual
-    per-qubit encoding I=(0,0), X=(1,0), Y=(1,1), Z=(0,1). Storage is the
-    transposed bit-packed layout: bit i of ``_x[q]`` / ``_z[q]`` is the X / Z
-    bit of row i on qubit q and bit i of ``_r`` is the sign of row i, so a
-    gate updates all rows in a few big-int operations. ``xs``, ``zs`` and
-    ``rs`` are read-only row views. Mutation is single-owner during
-    simulation; extracted supports are immutable.
+    per-qubit encoding I=(0,0), X=(1,0), Y=(1,1), Z=(0,1). There are no
+    destabilizer rows: they serve measurement, and nothing here measures.
+    Storage is transposed and bit-packed: bit i of ``_x[q]`` / ``_z[q]`` is
+    the X / Z bit of row i on qubit q and bit i of ``_r`` is the sign of row
+    i, so a gate updates all rows in a few big-int operations. ``xs``, ``zs``
+    and ``rs`` are read-only row views.
     """
 
-    __slots__ = ("n", "_x", "_z", "_r", "_support")
+    __slots__ = ("n", "_x", "_z", "_r")
 
     def __init__(self, n: int):
+        if type(n) is not int:  # a bool is an int, not a qubit count
+            raise ValueError("qubit count must be an int")
         if n < 1:
             raise ValueError("need at least one qubit")
         if n > MAX_TABLEAU_QUBITS:
             raise ValueError(f"stabilizer backend limited to {MAX_TABLEAU_QUBITS} qubits")
         self.n = n
-        self._x = [1 << q for q in range(n)]
-        self._z = [1 << (n + q) for q in range(n)]
+        self._x = [0] * n
+        self._z = [1 << q for q in range(n)]
         self._r = 0
-        self._support: AffineSubspace | None = None
 
     @property
     def xs(self) -> tuple[int, ...]:
-        return BitMatrix(self.n, 2 * self.n, self._x).transpose().data
+        return BitMatrix(self.n, self.n, self._x).transpose().data
 
     @property
     def zs(self) -> tuple[int, ...]:
-        return BitMatrix(self.n, 2 * self.n, self._z).transpose().data
+        return BitMatrix(self.n, self.n, self._z).transpose().data
 
     @property
     def rs(self) -> tuple[int, ...]:
-        return tuple((self._r >> i) & 1 for i in range(2 * self.n))
+        return tuple((self._r >> i) & 1 for i in range(self.n))
 
     def apply(self, gate) -> None:
         """Aaronson-Gottesman update of every row at once."""
-        self._support = None
         X, Z, a = self._x, self._z, gate.qubits[0]
         if gate.kind == "H":
             self._r ^= X[a] & Z[a]
@@ -80,19 +80,21 @@ class StabTableau:
             X[a], X[b] = X[b], X[a]
             Z[a], Z[b] = Z[b], Z[a]
         else:
-            raise ValueError(f"non-Clifford gate {gate.kind} cannot be applied to a tableau")
+            raise ValueError(
+                f"non-Clifford gate {gate.kind} in circuit; use the statevector backend")
 
     def validate(self) -> None:
-        """Check the group structure: every pair of rows commutes except each
-        destabilizer with its own stabilizer, which also makes the 2n rows
-        independent. Raises on violation."""
+        """Check that the rows generate the stabilizer group of a state: they
+        commute pairwise and are independent, so -I is not a product of them.
+        Raises on violation."""
         n = self.n
         xs, zs = self.xs, self.zs
-        for i in range(2 * n):
-            for j in range(i + 1, 2 * n):
-                anti = ((xs[i] & zs[j]).bit_count() + (zs[i] & xs[j]).bit_count()) & 1
-                if anti != (j == i + n):
-                    raise AssertionError(f"rows {i},{j} break the symplectic pairing")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if ((xs[i] & zs[j]).bit_count() + (zs[i] & xs[j]).bit_count()) & 1:
+                    raise AssertionError(f"rows {i},{j} anticommute")
+        if len(_build_pivots(x | z << n for x, z in zip(xs, zs))) != n:
+            raise AssertionError("rows are dependent")
 
     def support(self) -> AffineSubspace:
         """Affine subspace A with Born probability 2^-dim(A) on A, 0 elsewhere.
@@ -103,11 +105,8 @@ class StabTableau:
         whose X parts cancel; their signed Z parts, rows z | sign << n, go
         to gf2's solution-set read-out, which gives the shift and the basis.
         """
-        if self._support is not None:
-            return self._support
         n = self.n
-        xs = BitMatrix(n, n, [x >> n for x in self._x]).transpose().data
-        zs = BitMatrix(n, n, [z >> n for z in self._z]).transpose().data
+        xs, zs = self.xs, self.zs
         # Bits n.. of a row record which stabilizers were multiplied into it,
         # so a pivot past bit n-1 is a product whose X parts cancel.
         constraints: list[int] = []
@@ -119,23 +118,16 @@ class StabTableau:
             while sel:
                 j = _lsb(sel)
                 sel &= sel - 1
-                x, z, r = _pauli_mul(x, z, r, xs[j], zs[j], (self._r >> (n + j)) & 1)
+                x, z, r = _pauli_mul(x, z, r, xs[j], zs[j], (self._r >> j) & 1)
             constraints.append(z | (r << n))
-        self._support = _solutions(constraints, n)
-        if self._support is None:
+        support = _solutions(constraints, n)
+        if support is None:
             raise AssertionError("inconsistent support constraints")
-        return self._support
-
-    def sample(self, rng) -> BitVec:
-        """One computational-basis sample, uniform on the support."""
-        return self.support().sample(rng)
+        return support
 
 
 def simulate_clifford(c: Circuit) -> StabTableau:
     """Tableau stabilizing the circuit output state; rejects T gates."""
-    for g in c.gates():
-        if g.kind == "T":
-            raise ValueError("non-Clifford gate T in circuit; use the statevector backend")
     tab = StabTableau(c.n)
     for g in c.gates():
         tab.apply(g)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from borncraft.cli import MAX_INPUT_CHARS, main
+from borncraft.cli import MAX_INPUT_CHARS, MAX_SAMPLES, main
 from borncraft.dist import dist_from_json
 from borncraft.harness import MAX_POINTS
 
@@ -184,6 +184,14 @@ def test_simulate_negative_samples_exit_2(parity_file, capsys, backend):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--samples" in captured.err
+
+
+def test_simulate_samples_over_cap_exit_2_before_reading_the_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.qc")
+    assert main(["simulate", missing, "--samples", str(MAX_SAMPLES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must lie in 0..{MAX_SAMPLES}\n"
 
 
 def test_experiment_empty_grid_exit_2(capsys):

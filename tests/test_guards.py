@@ -69,6 +69,10 @@ _GUARDS = [
      "basis/shift dimension mismatch"),
     ("AffineSubspace-random-dim", lambda: AffineSubspace.random(random.Random(0), 2, 3),
      "dimension out of range"),
+    ("AffineSubspace-random-float-m", lambda: AffineSubspace.random(random.Random(0), 4, 2.5),
+     "n and m must be ints"),
+    ("AffineSubspace-random-bool-n", lambda: AffineSubspace.random(random.Random(0), True, 0),
+     "n and m must be ints"),
     ("contains-n", lambda: _flat(2).contains(BitVec(3)), "dimension mismatch"),
     ("intersection_dim-n", lambda: _flat(2).intersection_dim(_flat(3)), "dimension mismatch"),
     # dist
@@ -125,6 +129,8 @@ _GUARDS = [
      "line 1: negative qubit count"),
     ("parity_circuit-pad", lambda: parity_circuit(BitVec(1, 1), False, pad=-1),
      "pad must be nonnegative"),
+    ("StabTableau-bool-n", lambda: StabTableau(True), "qubit count must be an int"),
+    ("StabTableau-float-n", lambda: StabTableau(2.0), "qubit count must be an int"),
     ("StabTableau-apply-T", lambda: StabTableau(1).apply(Gate("T", (0,))),
      "non-Clifford gate T"),
     ("wilson_interval-trials", lambda: wilson_interval(0, 0), "trials must be positive"),

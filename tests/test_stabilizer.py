@@ -81,7 +81,7 @@ def test_initial_tableau_is_zero_state():
 def test_single_h_gives_uniform_bit():
     tab = simulate_clifford(Circuit(1, [Gate.h(0)]))
     # stabilizer row is +X
-    assert tab.xs[1] == 1 and tab.zs[1] == 0 and tab.rs[1] == 0
+    assert tab.xs[0] == 1 and tab.zs[0] == 0 and tab.rs[0] == 0
     sub = tab.support()
     assert sub.dim == 1
 
@@ -182,20 +182,44 @@ def test_symplectic_invariant_after_every_gate():
             tab.validate()
 
 
+def _corrupted(rows_x, rows_z):
+    """A 2-qubit tableau whose row i is P(rows_x[i], rows_z[i]), written into
+    the by-qubit storage directly."""
+    tab = StabTableau(2)
+    tab._x = list(BitMatrix(2, 2, rows_x).transpose().data)
+    tab._z = list(BitMatrix(2, 2, rows_z).transpose().data)
+    return tab
+
+
+def test_validate_rejects_anticommuting_rows():
+    tab = _corrupted([1, 0], [0, 1])  # X_0 and Z_0
+    assert (tab.xs, tab.zs) == ((1, 0), (0, 1))
+    with pytest.raises(AssertionError, match="anticommute"):
+        tab.validate()
+
+
+def test_validate_rejects_dependent_rows():
+    tab = _corrupted([0, 0], [1, 1])  # Z_0 twice
+    assert (tab.xs, tab.zs) == ((0, 0), (1, 1))
+    with pytest.raises(AssertionError, match="dependent"):
+        tab.validate()
+
+
 def test_sampling_zero_state():
     tab = StabTableau(2)
     rng = random.Random(0)
     for _ in range(20):
-        assert tab.sample(rng) == BitVec.zeros(2)
+        assert tab.support().sample(rng) == BitVec.zeros(2)
 
 
 def test_sampling_uniform_two_qubits():
     tab = simulate_clifford(Circuit(2, [Gate.h(0), Gate.h(1)]))
     rng = random.Random(12)
+    sub = tab.support()
     counts = [0, 0, 0, 0]
     draws = 100_000
     for _ in range(draws):
-        counts[tab.sample(rng).bits] += 1
+        counts[sub.sample(rng).bits] += 1
     expected = draws / 4
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < CHI2_999[3]
@@ -203,9 +227,10 @@ def test_sampling_uniform_two_qubits():
 
 def test_sampling_parity_invariant():
     tab = simulate_clifford(parity_circuit(BitVec.from_str("11"), noisy=False))
+    sub = tab.support()
     rng = random.Random(13)
     for _ in range(100_000):
-        x = tab.sample(rng)
+        x = sub.sample(rng)
         assert x[2] == x[0] ^ x[1]
 
 
@@ -279,13 +304,13 @@ def test_support_closed_form_across_word_boundaries(n):
 def _reference_rows(c):
     """Per-row Aaronson-Gottesman updates, the loops the packed kernels replace."""
     n = c.n
-    xs = [1 << i for i in range(n)] + [0] * n
-    zs = [0] * n + [1 << i for i in range(n)]
-    rs = [0] * (2 * n)
+    xs = [0] * n
+    zs = [1 << i for i in range(n)]
+    rs = [0] * n
     for g in c.gates():
         a = g.qubits[0]
         b = g.qubits[-1]
-        for i in range(2 * n):
+        for i in range(n):
             xa, za = (xs[i] >> a) & 1, (zs[i] >> a) & 1
             xb, zb = (xs[i] >> b) & 1, (zs[i] >> b) & 1
             if g.kind == "H":
@@ -309,11 +334,11 @@ def _reference_support(xs, zs, rs, n):
     """Kernel of the stabilizer X part, one product per kernel vector, then
     solve and nullspace of the signed Z-only constraints."""
     constraints, rhs = [], 0
-    for combo in nullspace(BitMatrix(n, n, xs[n:]).transpose()):
+    for combo in nullspace(BitMatrix(n, n, xs).transpose()):
         x, z, r = 0, 0, 0
         for i in range(n):
             if combo[i]:
-                x, z, r = _pauli_mul(x, z, r, xs[n + i], zs[n + i], rs[n + i])
+                x, z, r = _pauli_mul(x, z, r, xs[i], zs[i], rs[i])
         assert x == 0
         rhs |= r << len(constraints)
         constraints.append(z)
