@@ -103,7 +103,8 @@ class BitVec:
         return format(self.bits, "x")
 
     def to_str(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        # format gives "0" for n = 0, where the string must be empty.
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __len__(self) -> int:
         return self.n
@@ -206,7 +207,8 @@ class BitMatrix:
         raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in self.data), np.uint8)
         bits = np.unpackbits(raw.reshape(self.rows, nbytes), axis=1, count=self.cols,
                              bitorder="little")
-        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        # Packing a contiguous copy is faster than packing the strided view.
+        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
         out, step = packed.tobytes(), packed.shape[1]
         data = [int.from_bytes(out[j * step:(j + 1) * step], "little") for j in range(self.cols)]
         return BitMatrix(self.cols, self.rows, data)
@@ -298,10 +300,11 @@ class AffineSubspace:
 
     Stored as packed columns, their pivot dict (built with the set) and a
     shift; the basis matrix is built on demand. Values are immutable after
-    construction and safe to share.
+    construction apart from the sampling tables, a pure function of the
+    columns filled on the first ``sample``, so they stay safe to share.
     """
 
-    __slots__ = ("shift", "_cols", "_pivots")
+    __slots__ = ("shift", "_cols", "_pivots", "_tables")
 
     def __init__(self, basis: BitMatrix, shift: BitVec):
         if basis.rows != shift.n:
@@ -313,6 +316,7 @@ class AffineSubspace:
         self.shift = shift
         self._cols = cols
         self._pivots = pivots
+        self._tables = None
 
     @classmethod
     def _from_cols(cls, n: int, cols: Sequence[int], shift_bits: int,
@@ -323,6 +327,7 @@ class AffineSubspace:
         sub.shift = BitVec(n, shift_bits)
         sub._cols = tuple(cols)
         sub._pivots = pivots
+        sub._tables = None
         return sub
 
     @classmethod
@@ -383,12 +388,24 @@ class AffineSubspace:
         return _reduce(self._pivots, x.bits ^ self.shift.bits) == 0
 
     def sample(self, rng) -> BitVec:
+        """shift + basis.b for b = rng.getrandbits(dim), one call per draw."""
         cols = self._cols
         b = rng.getrandbits(len(cols)) if cols else 0
+        tables = self._tables
+        if tables is None:
+            # Method of Four Russians: table g holds the 16 XOR combinations
+            # of columns 4g..4g+3, indexed by the matching 4 bits of b.
+            tables = []
+            for g in range(0, len(cols), 4):
+                t = [0]
+                for c in cols[g:g + 4]:
+                    t += [x ^ c for x in t]
+                tables.append(t)
+            self._tables = tables
         acc = self.shift.bits
-        for j, c in enumerate(cols):
-            if (b >> j) & 1:
-                acc ^= c
+        for t in tables:
+            acc ^= t[b & 15]
+            b >>= 4
         return BitVec(self.shift.n, acc)
 
     def elements(self) -> Iterator[BitVec]:

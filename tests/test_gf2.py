@@ -75,6 +75,16 @@ def test_bitvec_masks_excess_bits():
 # --- rank -------------------------------------------------------------------
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_to_str_matches_per_bit_definition(data):
+    n = data.draw(st.one_of(st.integers(0, 300), st.just(4096)), label="n")
+    v = BitVec(n, data.draw(st.integers(0, (1 << n) - 1), label="bits"))
+    s = v.to_str()
+    assert s == "".join("1" if (v.bits >> i) & 1 else "0" for i in range(n))
+    assert BitVec.from_str(s) == v
+
 def test_rank_identity():
     assert rank(BitMatrix.identity(3)) == 3
 
@@ -219,6 +229,16 @@ def test_transpose_and_cols():
         assert t.transpose() == m
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 200), st.randoms(use_true_random=False))
+def test_transpose_matches_entrywise_definition(rows, cols, rng):
+    data = [rng.getrandbits(cols) for _ in range(rows)]
+    t = BitMatrix(rows, cols, data).transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t.data == tuple(sum(((r >> j) & 1) << i for i, r in enumerate(data))
+                           for j in range(cols))
+
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
 def test_from_cols_matches_entrywise_definition(rows):
     rng = random.Random(rows)
@@ -319,57 +339,67 @@ def _brute_affine_span(points):
     return {x ^ points[0] for x in brute_span([p ^ points[0] for p in points[1:]])}
 
 
+_PATHS = ["init", "span", "point", "full", "solutions", "random", "recover_affine", "support",
+          "marginalize", "json"]
+
+
 @st.composite
-def subspaces(draw, n):
-    """(subspace of F2^n, its member set computed without the subspace), built
-    through one of the construction paths."""
+def built_subspaces(draw, n, paths=tuple(_PATHS)):
+    """(subspace of F2^n, a function that computes its member set without the
+    subspace), built through one of the construction paths."""
     rng = draw(st.randoms(use_true_random=False))
-    path = draw(st.sampled_from(["init", "span", "point", "full", "solutions", "random",
-                                 "recover_affine", "support", "marginalize", "json"]))
+    path = draw(st.sampled_from(paths))
     if path in ("init", "json"):
         src = AffineSubspace.random(rng, n, draw(st.integers(0, n)))
-        members = brute_affine(src._cols, src.shift.bits)
         if path == "init":
             sub = AffineSubspace(BitMatrix.from_cols(
                 [BitVec(n, c) for c in src._cols], rows=n), src.shift)
         else:
             sub = dist_from_json(json.loads(json.dumps(dist_to_json(AffineUniform(src))))).subspace
-        return sub, members
+        return sub, lambda: brute_affine(src._cols, src.shift.bits)
     if path == "span":
         # Repeats, dependent vectors and bits at or above n included.
         vecs = draw(st.lists(st.integers(0, (1 << (n + 2)) - 1), max_size=n + 3))
         shift = draw(st.integers(0, (1 << (n + 2)) - 1))
         mask = (1 << n) - 1
         return (AffineSubspace._span(n, vecs, shift),
-                brute_affine([v & mask for v in vecs], shift & mask))
+                lambda: brute_affine([v & mask for v in vecs], shift & mask))
     if path == "point":
         t = draw(st.integers(0, (1 << n) - 1))
-        return AffineSubspace.point(BitVec(n, t)), {t}
+        return AffineSubspace.point(BitVec(n, t)), lambda: {t}
     if path == "full":
-        return AffineSubspace.full(n), set(range(1 << n))
+        return AffineSubspace.full(n), lambda: set(range(1 << n))
     if path == "solutions":
         # A consistent system <row, x> = <row, x0>, read out as solve and nullspace do.
         x0 = draw(st.integers(0, (1 << n) - 1))
         rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
-        members = {x for x in range(1 << n)
-                   if all((r & x).bit_count() % 2 == (r & x0).bit_count() % 2 for r in rows)}
-        return _solutions([r | ((r & x0).bit_count() & 1) << n for r in rows], n), members
+        return (_solutions([r | ((r & x0).bit_count() & 1) << n for r in rows], n),
+                lambda: {x for x in range(1 << n) if all(
+                    (r & x).bit_count() % 2 == (r & x0).bit_count() % 2 for r in rows)})
     if path == "random":
         sub = AffineSubspace.random(rng, n, draw(st.integers(0, n)))
-        return sub, brute_affine(sub._cols, sub.shift.bits)
+        return sub, lambda: brute_affine(sub._cols, sub.shift.bits)
     if path == "recover_affine":
         # Repeats and dependent differences included.
         pts = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 3))
         sub = recover_affine([BitVec(n, p) for p in pts]).subspace
-        return sub, _brute_affine_span(pts)
+        return sub, lambda: _brute_affine_span(pts)
     if path == "support":
         circuit = random_circuit(rng, n, draw(st.integers(0, 6)))
-        probs = sv_distribution(circuit).probs
-        return simulate_clifford(circuit).support(), {x for x in range(1 << n) if probs[x] > 1e-9}
+        return (simulate_clifford(circuit).support(),
+                lambda: {x for x, p in enumerate(sv_distribution(circuit).probs) if p > 1e-9})
     extra = draw(st.integers(1, 3))
     big = AffineSubspace.random(rng, n + extra, draw(st.integers(0, n + extra)))
     sub = marginalize(AffineUniform(big), n).subspace
-    return sub, {x & ((1 << n) - 1) for x in brute_affine(big._cols, big.shift.bits)}
+    return sub, lambda: {x & ((1 << n) - 1) for x in brute_affine(big._cols, big.shift.bits)}
+
+
+@st.composite
+def subspaces(draw, n):
+    """(subspace of F2^n, its member set computed without the subspace), built
+    through one of the construction paths."""
+    sub, members = draw(built_subspaces(n))
+    return sub, members()
 
 
 _OPS = ["contains", "eval", "elements", "same_set", "same_set_rev", "inter", "inter_rev", "dim"]
@@ -416,3 +446,60 @@ def test_subspace_methods_match_enumeration_on_every_path(data):
             x, y = (a, b) if op == "inter" else (b, a)
             common = sa & sb
             assert x.intersection_dim(y) == (len(common).bit_length() - 1 if common else None)
+
+
+# --- AffineSubspace.sample against the per-bit loop --------------------------------
+
+
+def _reference_sample(sub, rng):
+    """shift ^ XOR of cols[j] over the set bits j of one getrandbits(dim)."""
+    b = rng.getrandbits(sub.dim) if sub.dim else 0
+    acc = sub.shift.bits
+    for j, c in enumerate(sub._cols):
+        if (b >> j) & 1:
+            acc ^= c
+    return acc
+
+
+def _check_sample(sub, seed, k):
+    """k draws from sub match the reference on a twin generator, which ends in
+    the same state."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(k):
+        x = sub.sample(rng)
+        assert x.n == sub.n and x.bits == _reference_sample(sub, twin)
+    assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sample_matches_per_bit_reference_on_every_path(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    sub, _ = data.draw(built_subspaces(n), label="sub")
+    _check_sample(sub, data.draw(st.integers(0, 2 ** 32), label="seed"),
+                  data.draw(st.integers(1, 20), label="k"))
+
+
+@pytest.mark.parametrize("n, m", [(130, 0), (130, 1), (130, 66), (130, 130),
+                                  (300, 3), (300, 150), (300, 299), (300, 300)])
+def test_sample_matches_per_bit_reference_at_large_n(n, m):
+    rng = random.Random(n * 1000 + m)
+    sub = AffineSubspace.random(rng, n, m)
+    x0 = rng.getrandbits(n)
+    rows = [rng.getrandbits(n) for _ in range(n - m)]
+    for built in (sub, AffineSubspace(sub.basis, sub.shift),
+                  AffineSubspace._span(n, [rng.getrandbits(n) for _ in range(m)], x0),
+                  _solutions([r | ((r & x0).bit_count() & 1) << n for r in rows], n)):
+        _check_sample(built, m, 40)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sampling_tables_are_built_on_the_first_sample(path, data):
+    n = data.draw(st.integers(1, 8), label="n")
+    sub, _ = data.draw(built_subspaces(n, [path]), label="sub")
+    assert sub._tables is None
+    sub.sample(random.Random(0))
+    assert [len(t) for t in sub._tables] == [1 << len(sub._cols[g:g + 4])
+                                             for g in range(0, sub.dim, 4)]
