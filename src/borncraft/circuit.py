@@ -41,6 +41,10 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
+        # A list of qubits would leave the Gate unhashable and unequal to its tuple twin.
+        if type(self.kind) is not str or type(self.qubits) is not tuple:
+            raise ValueError(f"a gate is a str kind and a tuple of qubits, got "
+                             f"{self.kind!r}, {self.qubits!r}")
         arity = GATE_ARITY.get(self.kind)
         if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -88,12 +92,7 @@ def _pack(n: int, gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     avail = [0] * n
     for g in gates:
         qs = g.qubits
-        # Gate rejects negative indices, so only q >= n can fail the lookup.
-        try:
-            level = avail[qs[0]] if len(qs) == 1 else max(avail[qs[0]], avail[qs[1]])
-        except IndexError:
-            q = next(q for q in qs if q >= n)
-            raise ValueError(f"qubit {q} out of range for {n}-qubit circuit") from None
+        level = avail[qs[0]] if len(qs) == 1 else max(avail[qs[0]], avail[qs[1]])
         if level == len(layers):
             layers.append([])
         layers[level].append(g)
@@ -103,16 +102,33 @@ def _pack(n: int, gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
 
 
 class Circuit:
-    """Immutable layered circuit on n qubits (0-based wire indices)."""
+    """Immutable circuit on n qubits (0-based wire indices). ``given`` holds the
+    gates in the order given; ``layers`` packs them on first use, and
+    ``gates()``, equality, the hash and the text format read layer order."""
 
-    __slots__ = ("n", "layers")
+    __slots__ = ("n", "given", "_layers")
 
     def __init__(self, n: int, gates: Iterable[Gate] = ()):
         # Before _pack allocates n entries.
         if not (isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= MAX_TABLEAU_QUBITS):
             raise ValueError(f"qubit count must be an integer in 0..{MAX_TABLEAU_QUBITS}")
         self.n = n
-        self.layers = _pack(n, gates)
+        self.given = gates = tuple(gates)
+        self._layers = None
+        try:
+            for g in gates:
+                for q in g.qubits:
+                    # Gate rejects negative indices, so only q >= n is out of range.
+                    if q >= n:
+                        raise ValueError(f"qubit {q} out of range for {n}-qubit circuit")
+        except AttributeError:
+            raise ValueError(f"circuit entries must be Gates, got {g!r}") from None
+
+    @property
+    def layers(self) -> tuple[tuple[Gate, ...], ...]:
+        if self._layers is None:
+            self._layers = _pack(self.n, self.given)
+        return self._layers
 
     def gates(self) -> Iterator[Gate]:
         for layer in self.layers:
@@ -135,7 +151,7 @@ class Circuit:
         return hash((self.n, self.layers))
 
     def __repr__(self) -> str:
-        return f"Circuit(n={self.n}, depth={len(self.layers)}, gates={sum(len(l) for l in self.layers)})"
+        return f"Circuit(n={self.n}, depth={len(self.layers)}, gates={len(self.given)})"
 
 
 def depth(c: Circuit) -> int:
@@ -225,19 +241,19 @@ def format_circuit(c: Circuit) -> str:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format: `qubits N` header, `H q` / `CNOT q1 q2` lines,
-    `#` comments; layers are inferred by greedy packing."""
+    `#` comments. The gates are kept in file order; layers are packed on first use."""
     n: int | None = None
     gates: list[Gate] = []
     # Gate lines repeat (a 64-qubit file has a few hundred distinct ones), and
     # a Gate is immutable, so each distinct line is parsed and checked once.
     seen: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        gate = seen.get(line)
+        gate = seen.get(raw)
         if gate is not None:
             gates.append(gate)
+            continue
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         parts = line.split()
         if n is None:
@@ -263,7 +279,7 @@ def parse_circuit(text: str) -> Circuit:
         except ValueError:
             raise ValueError(f"line {lineno}: bad qubit index") from None
         try:
-            gate = seen[line] = Gate(kind, qubits)
+            gate = seen[raw] = Gate(kind, qubits)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
         gates.append(gate)

@@ -63,25 +63,39 @@ class StabTableau:
 
     def apply(self, gate) -> None:
         """Aaronson-Gottesman update of every row at once."""
-        X, Z, a = self._x, self._z, gate.qubits[0]
-        if gate.kind == "H":
-            self._r ^= X[a] & Z[a]
-            X[a], Z[a] = Z[a], X[a]
-        elif gate.kind == "S":
-            self._r ^= X[a] & Z[a]
-            Z[a] ^= X[a]
-        elif gate.kind == "CNOT":
-            b = gate.qubits[1]
-            self._r ^= X[a] & Z[b] & ~(X[b] ^ Z[a])
-            X[b] ^= X[a]
-            Z[a] ^= Z[b]
-        elif gate.kind == "SWAP":
-            b = gate.qubits[1]
-            X[a], X[b] = X[b], X[a]
-            Z[a], Z[b] = Z[b], Z[a]
-        else:
-            raise ValueError(
-                f"non-Clifford gate {gate.kind} in circuit; use the statevector backend")
+        self.apply_all((gate,))
+
+    def apply_all(self, gates) -> None:
+        """Apply the gates in order. A non-Clifford gate raises ValueError and
+        leaves the tableau as the gates before it made it."""
+        X, Z, r = self._x, self._z, self._r
+        try:
+            for g in gates:
+                kind, qs = g.kind, g.qubits
+                a = qs[0]
+                if kind == "H":
+                    x, z = X[a], Z[a]
+                    r ^= x & z
+                    X[a], Z[a] = z, x
+                elif kind == "S":
+                    x = X[a]
+                    r ^= x & Z[a]
+                    Z[a] ^= x
+                elif kind == "CNOT":
+                    b = qs[1]
+                    xa, zb = X[a], Z[b]
+                    r ^= xa & zb & ~(X[b] ^ Z[a])
+                    X[b] ^= xa
+                    Z[a] ^= zb
+                elif kind == "SWAP":
+                    b = qs[1]
+                    X[a], X[b] = X[b], X[a]
+                    Z[a], Z[b] = Z[b], Z[a]
+                else:
+                    raise ValueError(
+                        f"non-Clifford gate {kind} in circuit; use the statevector backend")
+        finally:
+            self._r = r
 
     def validate(self) -> None:
         """Check that the rows generate the stabilizer group of a state: they
@@ -129,6 +143,7 @@ class StabTableau:
 def simulate_clifford(c: Circuit) -> StabTableau:
     """Tableau stabilizing the circuit output state; rejects T gates."""
     tab = StabTableau(c.n)
-    for g in c.gates():
-        tab.apply(g)
+    # Packing keeps each qubit's gate order and gates on disjoint qubits
+    # commute, so the given order yields the same tableau as layer order.
+    tab.apply_all(c.given)
     return tab

@@ -60,6 +60,20 @@ def test_circuit_rejects_out_of_range_qubits():
         Circuit(2, [Gate.h(2)])
 
 
+# A list once made an unhashable Gate unequal to its tuple twin; the others
+# raised TypeError, and a tuple entry in a Circuit raised AttributeError.
+@pytest.mark.parametrize("kind, qubits", [("H", [0]), ("H", range(1)), ("H", {0: 0}),
+                                          ("H", 5), ("H", None), (["H"], (0,)), (b"H", (0,))])
+def test_gate_rejects_kind_or_qubits_of_the_wrong_type(kind, qubits):
+    with pytest.raises(ValueError, match="str kind and a tuple"):
+        Gate(kind, qubits)
+
+
+def test_circuit_rejects_entries_that_are_not_gates():
+    with pytest.raises(ValueError, match="must be Gates"):
+        Circuit(2, [Gate.h(0), ("H", (0,))])
+
+
 def test_depth_empty():
     assert depth(Circuit(3)) == 0
 
@@ -83,6 +97,16 @@ def test_layers_have_disjoint_qubits():
         for layer in c.layers:
             touched = [q for g in layer for q in g.qubits]
             assert len(touched) == len(set(touched))
+
+
+def test_given_orders_with_the_same_layers_are_one_circuit():
+    h0, s0, h1 = Gate.h(0), Gate.s(0), Gate.h(1)
+    a, b = Circuit(2, [h0, s0, h1]), Circuit(2, [h0, h1, s0])
+    assert a.given != b.given
+    assert a == b and hash(a) == hash(b)
+    assert format_circuit(a) == format_circuit(b) == "qubits 2\nH 0\nH 1\nS 0\n"
+    # A different order inside a layer is a different circuit.
+    assert Circuit(2, [h1, h0, s0]) != a
 
 
 def test_packing_idempotent():
@@ -176,6 +200,25 @@ def test_text_format_roundtrip_property(c):
     assert parse_circuit(format_circuit(c)) == c
 
 
+@settings(max_examples=200, deadline=None)
+@given(circuits(max_qubits=8))
+def test_layers_are_the_greedy_packing_of_the_given_order(c):
+    gs = c.given
+    # Earliest fit: one layer past the last earlier gate that shares a qubit.
+    level = []
+    for i, g in enumerate(gs):
+        level.append(max((level[j] + 1 for j in range(i)
+                          if set(gs[j].qubits) & set(g.qubits)), default=0))
+    expect = tuple(tuple(g for g, d in zip(gs, level) if d == k)
+                   for k in range(max(level, default=-1) + 1))
+    assert c.layers == expect
+    assert format_circuit(c) == "".join(
+        f"{line}\n" for line in [f"qubits {c.n}"]
+        + [" ".join([g.kind, *map(str, g.qubits)]) for layer in expect for g in layer])
+    again = Circuit(c.n, c.gates())  # the same layers, given in layer order
+    assert again == c and hash(again) == hash(c)
+
+
 def test_text_format_comments_and_blanks():
     text = """
 # a comment
@@ -253,7 +296,13 @@ def test_circuit_qubit_count_is_capped(n):
     assert Circuit(MAX_TABLEAU_QUBITS).n == MAX_TABLEAU_QUBITS
 
 
-def test_pack_reports_first_out_of_range_qubit():
+def test_pack_reports_first_out_of_range_qubit(monkeypatch):
+    # The range check runs at construction; packing waits for the first .layers.
+    def no_packing(*args):
+        raise AssertionError("packed before .layers was read")
+
+    monkeypatch.setattr("borncraft.circuit._pack", no_packing)
+    Circuit(4, [Gate.h(0), Gate.cnot(3, 1)])
     with pytest.raises(ValueError, match="qubit 5 out of range for 4-qubit"):
         Circuit(4, [Gate.h(0), Gate.cnot(5, 7)])
     with pytest.raises(ValueError, match="qubit 7 out of range for 4-qubit"):

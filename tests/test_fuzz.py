@@ -152,9 +152,9 @@ def test_cli_exits_0_2_or_3_with_one_error_line(tmp_path, capsys, data):
         json.loads(out, parse_constant=_no_constants)
 
 
+qubit_lists = st.lists(numbers | st.integers(-1, 5) | st.text(max_size=2) | st.none(), max_size=3)
 gate_args = st.tuples(st.sampled_from([*GATE_ARITY, "X"]),
-                      st.lists(numbers | st.integers(-1, 5) | st.text(max_size=2) | st.none(),
-                               max_size=3).map(tuple))
+                      qubit_lists.map(tuple) | qubit_lists | st.integers(-1, 5) | st.none())
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,7 +166,8 @@ def test_library_entry_points_raise_only_value_error(data, trials, text, obj, ga
     for call in (lambda: run(ExperimentSpec(name, grid, trials, 0)),
                  lambda: parse_circuit(text),
                  lambda: dist_from_json(obj),
-                 lambda: Circuit(6, [Gate(*gate)])):
+                 lambda: Circuit(6, [Gate(*gate)]),
+                 lambda: Circuit(6, [gate])):
         try:
             call()
         except ValueError:

@@ -346,6 +346,51 @@ def _reference_support(xs, zs, rs, n):
     return nullspace(cmat), solve(cmat, BitVec(len(constraints), rhs))
 
 
+def gate_lists(m, hot):
+    """Up to 40 Clifford gates on qubits 0..m-1, with many on qubit hot."""
+    qubit = st.integers(0, m - 1) | st.just(hot)
+    one = st.builds(Gate, st.sampled_from(["H", "S"]), st.tuples(qubit))
+    if m == 1:
+        return st.lists(one, max_size=40)
+    pair = st.tuples(qubit, st.integers(0, m - 2)).map(lambda p: (p[0], p[1] + (p[1] >= p[0])))
+    return st.lists(one | st.builds(Gate, st.sampled_from(["CNOT", "SWAP"]), pair), max_size=40)
+
+
+@st.composite
+def reordered_circuits(draw):
+    """Circuits whose given order is not layer order: qubit hot takes two gates
+    first, qubits late..n-1 are first touched after the body, and H on qubit
+    n-1 then packs into layer 0, between the two."""
+    n = draw(st.integers(2, 130))
+    late = draw(st.integers(1, n - 1))
+    hot = draw(st.integers(0, late - 1))
+    body, tail = draw(gate_lists(late, hot)), draw(gate_lists(n, hot))
+    return Circuit(n, [Gate.h(hot), Gate.s(hot), *body, Gate.h(n - 1), *tail])
+
+
+@settings(max_examples=150, deadline=None)
+@given(reordered_circuits(), st.data())
+def test_given_order_tableau_matches_layer_order_tableau(c, data):
+    assert list(c.given) != list(c.gates())
+    tab, ref = simulate_clifford(c), StabTableau(c.n)
+    for g in c.gates():
+        ref.apply(g)
+    assert (tab.xs, tab.zs, tab.rs) == (ref.xs, ref.zs, ref.rs)
+    sub, ref_sub = tab.support(), ref.support()
+    assert sub.basis == ref_sub.basis and sub.shift == ref_sub.shift
+    # A T gate anywhere stops both paths with the same error.
+    i = data.draw(st.integers(0, len(c.given)), label="T position")
+    t = Gate.t(data.draw(st.integers(0, c.n - 1), label="T qubit"))
+    c = Circuit(c.n, [*c.given[:i], t, *c.given[i:]])
+    with pytest.raises(ValueError) as fast:
+        simulate_clifford(c)
+    ref = StabTableau(c.n)
+    with pytest.raises(ValueError) as slow:
+        for g in c.gates():
+            ref.apply(g)
+    assert str(fast.value) == str(slow.value)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 31, 63, 64, 65, 130])
 def test_packed_tableau_and_support_match_row_reference(n):
     rng = random.Random(1000 + n)
