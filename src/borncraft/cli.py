@@ -22,8 +22,8 @@ from .circuit import parse_circuit
 
 
 # Longest circuit or grid file read, in characters: a 4 MiB circuit of about
-# 0.5 M gates parses and simulates in 1.4 s at n = 128 and 2.6 s at n = 1024,
-# in 120-160 MB (16 MiB took 6 s and 350 MB; Python 3.11, 2-vCPU VM).
+# 0.5 M gates parses and simulates in 0.7 s at n = 128 and 0.8 s at n = 1024,
+# in 80-85 MB (16 MiB took 2.2 s and 212 MB; Python 3.11, 2-vCPU VM).
 MAX_INPUT_CHARS = 4 << 20
 
 # Most samples `simulate --samples` prints, checked before the circuit file

@@ -16,27 +16,24 @@ def _lsb(x: int) -> int:
 
 
 def _reduce(pivots: dict[int, int], v: int) -> int:
-    """Reduce v against pivot rows keyed by their lowest set bit."""
-    while v:
-        # _lsb(v), inlined: this is the inner loop of every elimination.
-        row = pivots.get((v & -v).bit_length() - 1)
-        if row is None:
-            return v
+    """Reduce v against pivot rows keyed by their bit length (top set bit + 1),
+    an O(1) read; a lowest-set-bit key would build the big int -v every step."""
+    while (row := pivots.get(v.bit_length())) is not None:
         v ^= row
-    return 0
+    return v
 
 
 def _build_pivots(vecs, pivots: dict[int, int] | None = None,
                   kept: list[int] | None = None) -> dict[int, int]:
     """Greedy elimination of vecs, in order, into pivots (a new dict when
-    None): lowest set bit -> reduced row. The index of each vector that is
+    None): bit length -> reduced row. The index of each vector that is
     independent of the ones before it is appended to kept."""
     if pivots is None:
         pivots = {}
     for idx, v in enumerate(vecs):
         w = _reduce(pivots, v)
         if w:
-            pivots[_lsb(w)] = w
+            pivots[w.bit_length()] = w
             if kept is not None:
                 kept.append(idx)
     return pivots
@@ -246,9 +243,9 @@ def rank(m: BitMatrix) -> int:
 def max_independent_subset(vs: Sequence[BitVec]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in input order.
 
-    Pivoting is by lowest set bit, first-seen vector; the result is
-    deterministic and the indexed vectors span span(vs). AffineSubspace._span
-    keeps the same subset of plain ints.
+    A vector is kept when it is independent of the ones before it, so the
+    result does not depend on how pivots are keyed, and the indexed vectors
+    span span(vs). AffineSubspace._span keeps the same subset of plain ints.
     """
     if len({v.n for v in vs}) > 1:
         raise ValueError("vectors have mixed lengths")
@@ -266,20 +263,30 @@ def in_affine_span(r: BitMatrix, t: BitVec, x: BitVec) -> bool:
 
 def _solutions(rows, cols: int) -> AffineSubspace | None:
     """The x in F2^cols with <row, x> = bit cols of row for all rows, or None when
-    the rows hold 0 = 1. The rows go to their reduced echelon form, unique for the
-    row space: each pivot is its row's lowest set bit, and no other row has it.
-    The basis has one column per free variable f, in increasing order: 1 << f
-    plus the pivots that f feeds. The shift sets pivots to their right-hand sides."""
-    pivots = _build_pivots(rows)
-    if cols in pivots:
+    the rows hold 0 = 1; bits above cols are ignored. The rows go to their
+    reduced echelon form, unique for the row space: each pivot is its row's
+    lowest coefficient, and no other row has it. The basis has one column per
+    free variable f, in increasing order: 1 << f plus the pivots that f feeds.
+    The shift sets pivots to their right-hand sides and free variables to 0.
+
+    Each row is eliminated bit-reversed, coefficient j at bit cols - j and the
+    right-hand side at bit 0, so that its bit-length key is cols + 1 - (its
+    lowest coefficient) and key 1 is the row 0 = 1."""
+    width = cols + 1
+    mask = (1 << width) - 1
+    pivots = _build_pivots(int(format(r & mask, f"0{width}b")[::-1], 2) for r in rows)
+    if 1 in pivots:
         return None
-    for c in sorted(pivots, reverse=True):
-        for c2, row in pivots.items():
-            if c2 < c and (row >> c) & 1:
-                pivots[c2] = row ^ pivots[c]
-    # Column f < cols lists the pivots that f feeds; column cols is the shift.
-    t = BitMatrix(cols, cols + 1, [pivots.get(c, 0) for c in range(cols)]).transpose().data
-    return AffineSubspace._span(cols, [t[f] | 1 << f for f in range(cols) if f not in pivots], t[cols])
+    for k in sorted(pivots):
+        row, bit = pivots[k], 1 << (k - 1)
+        for k2, row2 in pivots.items():
+            if k2 > k and row2 & bit:
+                pivots[k2] = row2 ^ row
+    # Row c holds pivot c's row; after the transpose, t[cols - f] lists the
+    # pivots that variable f feeds and t[0] is the shift.
+    t = BitMatrix(cols, width, [pivots.get(width - c, 0) for c in range(cols)]).transpose().data
+    return AffineSubspace._span(
+        cols, [t[cols - f] | 1 << f for f in range(cols) if width - f not in pivots], t[0])
 
 
 def solve(m: BitMatrix, b: BitVec) -> BitVec | None:
@@ -361,7 +368,7 @@ class AffineSubspace:
             v = rng.getrandbits(n)
             w = _reduce(pivots, v)
             if w:
-                pivots[_lsb(w)] = w
+                pivots[w.bit_length()] = w
                 cols.append(v)
         return cls._from_cols(n, cols, rng.getrandbits(n) if n else 0, pivots)
 

@@ -356,8 +356,9 @@ Experiment = NamedTuple("Experiment", [("table", dict), ("points", Callable),
                                        ("evaluate", Callable), ("seconds", Callable)])
 
 EXPERIMENTS = {
-    # µs per trial at (n, m, k): (16, 4, 4) 66, (16, 12, 22) 205, (64, 8, 1000) 3,230,
-    # (256, 16, 4096) 18,700, (1024, 0, 4096) 7,530 and (1024, 1024, 4096) 2,320,000.
+    # µs per trial at (n, m, k): (16, 4, 4) 34, (16, 12, 22) 86, (64, 8, 1000) 1,520,
+    # (256, 16, 4096) 8,140, (1024, 0, 4096) 3,710 and (1024, 1024, 4096) 470,000.
+    # The formula was fitted to slower code and over-predicts these.
     "recovery-curve": Experiment({
         "n": _Key(_int, 0, MAX_RECOVERY_BITS),
         "m": _Key(_ints, 0, MAX_RECOVERY_BITS),

@@ -121,14 +121,14 @@ class StabTableau:
         """
         n = self.n
         xs, zs = self.xs, self.zs
-        # Bits n.. of a row record which stabilizers were multiplied into it,
-        # so a pivot past bit n-1 is a product whose X parts cancel.
+        # Row i is xs[i] << n | 1 << i: bits 0..n-1 record which stabilizers
+        # were multiplied into a row, so a pivot keyed at most n (top bit below
+        # the X part) is a product whose X parts cancel.
         constraints: list[int] = []
-        for c, row in _build_pivots(xs[i] | (1 << (n + i)) for i in range(n)).items():
-            if c < n:
+        for key, sel in _build_pivots(xs[i] << n | 1 << i for i in range(n)).items():
+            if key > n:
                 continue
             x, z, r = 0, 0, 0
-            sel = row >> n
             while sel:
                 j = _lsb(sel)
                 sel &= sel - 1

@@ -38,6 +38,30 @@ def brute_affine(cols, shift):
     return {x ^ shift for x in brute_span(cols)}
 
 
+def _lowest_bit_rref(rows):
+    """Gauss-Jordan on packed rows, each pivot its row's lowest set bit and
+    no other row having it: {pivot column: row}."""
+    rref: dict[int, int] = {}
+    for r in rows:
+        for c, p in rref.items():
+            if (r >> c) & 1:
+                r ^= p
+        if r:
+            c = (r & -r).bit_length() - 1
+            rref = {c2: p ^ r if (p >> c) & 1 else p for c2, p in rref.items()}
+            rref[c] = r
+    return rref
+
+
+def _combination(rng, base):
+    """XOR of a random subset of base."""
+    x = 0
+    for b in base:
+        if rng.random() < 0.5:
+            x ^= b
+    return x
+
+
 # --- BitVec -----------------------------------------------------------------
 
 
@@ -147,6 +171,40 @@ def test_mis_properties():
             assert rank(sub) == rank(full) == len(idx)
 
 
+def _raises_rank(vecs):
+    """Indices i with rank(vecs[:i + 1]) > rank(vecs[:i])."""
+    rref: dict[int, int] = {}
+    out = []
+    for i, v in enumerate(vecs):
+        before = len(rref)
+        rref = _lowest_bit_rref(list(rref.values()) + [v])
+        if len(rref) > before:
+            out.append(i)
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 130])
+def test_kept_indices_are_the_rank_raising_prefix_steps(n):
+    rng = random.Random(n)
+    for dim in (0, 1, n // 2, n - 1, n):
+        base = [rng.getrandbits(n) for _ in range(dim)]
+        # Zeros, repeats and combinations of the base; _span also gets bits above n.
+        vecs = [0] + base[:3] + base
+        vecs += [_combination(rng, base) for _ in range(n // 4)]
+        rng.shuffle(vecs)
+        kept = _raises_rank(vecs)
+        assert max_independent_subset([BitVec(n, v) for v in vecs]) == kept
+        wide = [v | rng.getrandbits(3) << n for v in vecs]
+        shift = rng.getrandbits(n + 3)
+        assert AffineSubspace._span(n, wide, shift)._cols == tuple(vecs[i] for i in kept)
+        origin = rng.getrandbits(n)
+        pts = [BitVec(n, origin)] + [BitVec(n, v ^ origin) for v in vecs]
+        sub = recover_affine(pts).subspace
+        assert sub._cols == tuple(vecs[i] for i in kept) and sub.shift.bits == origin
+        assert all(k == row.bit_length() for k, row in sub._pivots.items())
+        assert len(kept) == len(_lowest_bit_rref(base))
+
+
 # --- in_affine_span -----------------------------------------------------------
 
 
@@ -210,6 +268,57 @@ def test_solve_and_nullspace(data):
 def test_solve_inconsistent():
     m = BitMatrix.from_rows([BitVec.from_str("10"), BitVec.from_str("10")])
     assert solve(m, BitVec.from_bits([1, 0])) is None
+
+
+def _wide_systems(cols, seed):
+    """Seeded rows of cols + 1 bits, the right-hand side at bit cols: random,
+    dependent, consistent and inconsistent systems of 0 to cols + 3 rows."""
+    rng = random.Random(seed)
+    top = 1 << cols
+    systems = [[], [top], [0, 0]]
+    for count in (1, cols // 2, cols - 1, cols, cols + 3):
+        systems.append([rng.getrandbits(cols + 1) for _ in range(count)])
+        base = [rng.getrandbits(cols + 1) for _ in range(max(1, count // 3))]
+        dep = base + [_combination(rng, base) for _ in range(count)]
+        systems.append(dep)
+        # The same coefficients with one right-hand side flipped: a dependent
+        # row now holds 0 = 1 unless it is independent of the others.
+        systems.append(dep[:-1] + [dep[-1] ^ top])
+        x0 = rng.getrandbits(cols)
+        systems.append([r & (top - 1) | ((r & x0).bit_count() & 1) << cols for r in dep])
+    return systems
+
+
+@pytest.mark.parametrize("cols", [63, 64, 65, 130])
+def test_solutions_match_lowest_bit_elimination_at_wide_widths(cols):
+    top = 1 << cols
+    for seed in range(4):
+        for rows in _wide_systems(cols, cols * 100 + seed):
+            rref = _lowest_bit_rref(rows)
+            free = [f for f in range(cols) if f not in rref]
+            # Column f: 1 << f plus the pivots whose rows have f; the shift:
+            # the pivots whose rows have a right-hand side of 1.
+            cols_ref = tuple(1 << f | sum(1 << c for c, p in rref.items() if (p >> f) & 1)
+                             for f in free)
+            shift_ref = sum(1 << c for c, p in rref.items() if c < cols and p & top)
+            sol = _solutions(rows, cols)
+            # Bits above the right-hand side are ignored.
+            wide = _solutions([r | 0b101 << (cols + 1) for r in rows], cols)
+            m = BitMatrix(len(rows), cols, rows)
+            b = BitVec(len(rows), sum(((r >> cols) & 1) << i for i, r in enumerate(rows)))
+            # cols_ref reads no right-hand side, so it is nullspace's answer too.
+            basis = nullspace(m)
+            assert [v.bits & sum(1 << f for f in free) for v in basis] == [1 << f for f in free]
+            assert tuple(v.bits for v in basis) == cols_ref
+            if cols in rref:
+                assert sol is None and wide is None and solve(m, b) is None
+                continue
+            for got in (sol, wide):
+                assert got._cols == cols_ref and got.shift.bits == shift_ref
+            assert solve(m, b).bits == shift_ref
+            assert shift_ref & sum(1 << f for f in free) == 0
+            assert m.mul_vec(BitVec(cols, shift_ref)) == b
+            assert all(m.mul_vec(v) == BitVec.zeros(m.rows) for v in basis)
 
 
 # --- BitMatrix ----------------------------------------------------------------
@@ -419,6 +528,7 @@ def test_subspace_methods_match_enumeration_on_every_path(data):
     # Every path builds the pivot dict of its columns with the set.
     for sub in (a, b):
         assert sub._pivots == _build_pivots(sub._cols)
+        assert all(key == row.bit_length() for key, row in sub._pivots.items())
     # Run every check twice, in a drawn order, so that a call which changed
     # the pivot dict would show in a later call.
     ops = data.draw(st.permutations(_OPS * 2), label="ops")
