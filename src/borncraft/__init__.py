@@ -10,7 +10,6 @@ from .gf2 import (
     AffineSubspace,
     BitMatrix,
     BitVec,
-    in_affine_span,
     max_independent_subset,
     nullspace,
     rank,

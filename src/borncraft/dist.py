@@ -2,15 +2,14 @@
 
 Every family exposes an evaluator (exact probability mass, rational where the
 parameters are rational) and a generator (sampling against a caller-supplied
-RNG), plus total variation, embedding/marginalization, JSON serialization,
-and the two query oracles: counted sampling and tolerance-tau statistical
-queries in exact, empirical, and adversarial modes.
+RNG), plus total variation, embedding/marginalization, JSON serialization
+of the kinds the package writes, and the two query oracles: counted sampling
+and tolerance-tau statistical queries in exact and adversarial modes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import re
 from abc import ABC, abstractmethod
@@ -30,17 +29,8 @@ _SUPPORT_BUDGET = 1 << 22
 # Bits of the largest 2^n table: DenseDist, truth tables, and statevectors.
 _MAX_TABLE_BITS = 20
 
-# Deepest nesting of function bases and product parts that dist_from_json reads:
-# well below the interpreter's recursion limit (1000 frames, two per level).
-_MAX_DEPTH = 100
-
 # Allowed drift of a state's norm, and of a probability table's sum, from 1.
 _NORM_TOL = 1e-10
-
-# Draws in one empirical-mode query: 10^6 draws of a noisy parity at k = 16 or 30
-# with a ParityCorrelation take 1.3-1.4 s, and of an affine uniform at n = 64
-# with a weight query 3.3 s (Python 3.11, 2-vCPU VM).
-MAX_SAMPLES_PER_QUERY = 1_000_000
 
 
 class Dist(ABC):
@@ -391,22 +381,6 @@ def dist_to_json(d: Dist) -> dict:
             "s": d.s.to_hex(),
             "eta": _eta_to_json(d.eta),
         }
-    if isinstance(d, FunctionDist):
-        packed = 0
-        for i, v in enumerate(d.table):
-            packed |= v << i
-        return {
-            "schema": DIST_SCHEMA,
-            "kind": "function",
-            "table": format(packed, "x"),
-            "base": dist_to_json(d.base),
-        }
-    if isinstance(d, Product):
-        return {
-            "schema": DIST_SCHEMA,
-            "kind": "product",
-            "parts": [dist_to_json(p) for p in d.parts],
-        }
     if isinstance(d, DenseDist):
         return {
             "schema": DIST_SCHEMA,
@@ -453,9 +427,7 @@ def _bit_count(obj: _Fields, key: str) -> int:
     return v
 
 
-def dist_from_json(obj: dict, _depth: int = 0) -> Dist:
-    if _depth > _MAX_DEPTH:
-        raise ValueError(f"{DIST_SCHEMA} objects nest at most {_MAX_DEPTH} levels deep")
+def dist_from_json(obj: dict) -> Dist:
     if not isinstance(obj, dict):
         raise ValueError(f"{DIST_SCHEMA} object must be a JSON object")
     if obj.get("schema") != DIST_SCHEMA:
@@ -473,17 +445,6 @@ def dist_from_json(obj: dict, _depth: int = 0) -> Dist:
     if kind == "noisy_parity":
         s = _hex_field("s", _bit_count(obj, "k"), obj.typed("s", str))
         return NoisyParity(s, _eta_from_json(obj.typed("eta", (int, float, str))))
-    if kind == "function":
-        base = dist_from_json(obj.typed("base", dict), _depth + 1)
-        if base.n > _MAX_TABLE_BITS:  # before the table is unpacked
-            raise ValueError(f"truth tables supported up to {_MAX_TABLE_BITS} input bits")
-        packed = _hex_field("table", 1 << base.n, obj.typed("table", str)).bits
-        table = [(packed >> i) & 1 for i in range(1 << base.n)]
-        return FunctionDist(table, base)
-    if kind == "point_mass":  # no longer written: a point mass is an affine_uniform of dim 0
-        return PointMass(_hex_field("value", _bit_count(obj, "n"), obj.typed("value", str)))
-    if kind == "product":
-        return Product([dist_from_json(p, _depth + 1) for p in obj.typed("parts", list, dict)])
     if kind == "dense":
         return DenseDist(obj.typed("n", int), obj.typed("probs", list, (int, float)))
     raise ValueError(f"unknown dist kind {kind!r}")
@@ -542,63 +503,26 @@ class StatOracle:
       exact        responds with the true expectation;
       adversarial  true expectation plus a deterministic perturbation of
                    magnitude exactly tau, signed by a stream keyed to
-                   adversary_seed (reproducible worst-ish-case responses);
-      empirical    mean of samples_per_query <= MAX_SAMPLES_PER_QUERY fresh
-                   draws (Hoeffding count ceil(ln(2/delta')/(2 tau^2)) via
-                   the `empirical` constructor, which splits a failure
-                   budget over an announced number of queries).
+                   adversary_seed (reproducible worst-ish-case responses).
 
     Any tau in (0, 1) is accepted; responses are only informative for
     tolerances that are not exponentially small in the string length.
     """
 
-    def __init__(self, dist: Dist, tau: float, mode: str = "exact", *,
-                 rng=None, samples_per_query: int | None = None,
-                 adversary_seed: int = 0):
+    def __init__(self, dist: Dist, tau: float, mode: str = "exact", *, adversary_seed: int = 0):
         if not 0 < tau < 1:
             raise ValueError("tau must lie in (0, 1)")
-        if mode not in ("exact", "empirical", "adversarial"):
+        if mode not in ("exact", "adversarial"):
             raise ValueError(f"unknown oracle mode {mode!r}")
-        if mode == "empirical":
-            if rng is None or samples_per_query is None:
-                raise ValueError("empirical mode needs rng and samples_per_query")
-            if not _of_type(samples_per_query, int):
-                raise ValueError("samples_per_query must be an int")
-            if not 1 <= samples_per_query <= MAX_SAMPLES_PER_QUERY:
-                raise ValueError(
-                    f"samples_per_query must be positive and at most {MAX_SAMPLES_PER_QUERY}")
         self.dist = dist
         self.tau = tau
         self.mode = mode
-        self.rng = rng
-        self.samples_per_query = samples_per_query
         self._adv_rng = random.Random(adversary_seed)
         self.queries = 0
 
-    @classmethod
-    def empirical(cls, dist: Dist, tau: float, rng, *, failure_prob: float,
-                  query_budget: int) -> "StatOracle":
-        if not 0 < tau < 1:
-            raise ValueError("tau must lie in (0, 1)")
-        if not 0 < failure_prob < 1 or query_budget < 1:
-            raise ValueError("bad failure budget")
-        try:
-            per_query = failure_prob / query_budget
-            count = math.ceil(math.log(2.0 / per_query) / (2.0 * tau * tau))
-        except (ZeroDivisionError, OverflowError):  # tau^2, delta' or the count leave the floats
-            raise ValueError("tau and failure budget need more samples per query "
-                             "than a float can count") from None
-        return cls(dist, tau, "empirical", rng=rng, samples_per_query=count)
-
     def query(self, phi: Callable[[BitVec], float]):
-        """Respond with v such that |E[phi] - v| <= tau (with the declared
-        failure probability in empirical mode)."""
+        """Respond with v such that |E[phi] - v| <= tau."""
         self.queries += 1
-        if self.mode == "empirical":
-            total = 0.0
-            for _ in range(self.samples_per_query):
-                total += phi(self.dist.sample(self.rng))
-            return total / self.samples_per_query
         truth = _expectation(self.dist, phi)
         if self.mode == "exact":
             return truth

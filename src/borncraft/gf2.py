@@ -73,14 +73,6 @@ class BitVec:
         return cls(len(s), bits)
 
     @classmethod
-    def from_bits(cls, seq: Sequence[int]) -> "BitVec":
-        bits = 0
-        for i, b in enumerate(seq):
-            if b:
-                bits |= 1 << i
-        return cls(len(seq), bits)
-
-    @classmethod
     def random(cls, rng, n: int) -> "BitVec":
         return cls(n, rng.getrandbits(n) if n else 0)
 
@@ -121,9 +113,6 @@ class BitVec:
         if self.n != other.n:
             raise ValueError("length mismatch in dot product")
         return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def concat(self, other: "BitVec") -> "BitVec":
         return BitVec(self.n + other.n, self.bits | (other.bits << self.n))
@@ -168,14 +157,6 @@ class BitMatrix:
         self.data = tuple(r & mask for r in data)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def from_rows(cls, vs: Sequence[BitVec], cols: int | None = None) -> "BitMatrix":
         if cols is None:
             if not vs:
@@ -194,9 +175,6 @@ class BitMatrix:
         if any(v.n != rows for v in vs):
             raise ValueError("columns have mixed lengths")
         return cls(len(vs), rows, [v.bits for v in vs]).transpose()
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.data[i])
 
     def transpose(self) -> "BitMatrix":
         # Unpack to one byte per bit, transpose, repack: O(rows) Python steps.
@@ -252,13 +230,6 @@ def max_independent_subset(vs: Sequence[BitVec]) -> list[int]:
     out: list[int] = []
     _build_pivots([v.bits for v in vs], None, out)
     return out
-
-
-def in_affine_span(r: BitMatrix, t: BitVec, x: BitVec) -> bool:
-    """True iff x lies in {r.b + t : b}, i.e. x + t is in the column span of r."""
-    if r.rows != x.n or t.n != x.n:
-        raise ValueError("dimension mismatch")
-    return AffineSubspace._span(x.n, r.transpose().data, t.bits).contains(x)
 
 
 def _solutions(rows, cols: int) -> AffineSubspace | None:

@@ -12,8 +12,12 @@ Its limit: every float these grids sum is dyadic with a small denominator
 (TVs of 0, 1/2, 3/4, ...; mean TV 0 for `sq-vs-sample`), so each sum is
 exact in any order. The test cannot see a change in summation order, such
 as `sum()`'s compensated float sums from Python 3.12.
+
+A static check backs the "no libm call" half of the claim: every `math`
+name the package reads is exact or correctly rounded.
 """
 
+import ast
 import functools
 import glob
 import hashlib
@@ -26,6 +30,10 @@ from pathlib import Path
 import pytest
 
 import borncraft
+
+# frexp, nextafter, inf and prod (of ints) are exact, and IEEE 754 requires
+# sqrt to be correctly rounded; log, exp, sin and the rest come from libm.
+EXACT_MATH = {"frexp", "inf", "nextafter", "prod", "sqrt"}
 
 SPECS = [
     ["recovery-curve", {"n": 12, "m": [3, 6, 9], "k_offsets": [0, 2, 5]}, 200],
@@ -84,3 +92,16 @@ def test_pure_experiments_match_across_python_versions(minor, tmp_path):
     (tmp_path / "numpy").mkdir()
     (tmp_path / "numpy" / "__init__.py").write_text(_NUMPY_STUB, encoding="utf-8")
     assert _hashes(python, (str(tmp_path),)) == _hashes(sys.executable)
+
+
+def test_package_reads_only_exact_math_functions():
+    read = set()
+    for path in sorted(Path(borncraft.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"):
+                read.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                read.update((path.name, alias.name) for alias in node.names)
+    assert read, "the walk found no math name: the check would pass on anything"
+    assert {entry for entry in read if entry[1] not in EXACT_MATH} == set()

@@ -385,7 +385,9 @@ def test_padding_keeps_depth_while_widening():
 
 def test_json_roundtrip_all_kinds():
     rng = random.Random(77)
-    dists = [random_structured(rng) for _ in range(20)]
+    # FunctionDist and Product have no JSON form.
+    dists = [d for d in (random_structured(rng) for _ in range(20))
+             if not isinstance(d, (FunctionDist, Product))]
     dists.append(Dense(DenseDist(2, np.array([0.25, 0.25, 0.25, 0.25]))))
     dists.append(NoisyParity(BitVec.from_str("101"), T_NOISE_RATE))
     for d in dists:
@@ -403,7 +405,9 @@ def test_json_schema_tag():
     obj = dist_to_json(uniform(2))
     assert obj["schema"] == "dist_v1"
     with pytest.raises(ValueError, match="schema"):
-        dist_from_json({"schema": "bogus", "kind": "point_mass"})
+        dist_from_json({"schema": "bogus", "kind": "affine_uniform"})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        dist_from_json(["dist_v1"])
 
 
 def test_json_eta_zero_stays_exact():
@@ -414,12 +418,11 @@ def test_json_eta_zero_stays_exact():
 
 
 def test_json_float_eta_zero_stays_float():
-    # A float 0.0 written as an int would load back exact, and a product with
-    # an exact part would then give Fraction(1, 6) where the original gives
-    # the float 1/6.
-    d = Product([NoisyParity(BitVec(1, 0), Fraction(1, 3)), NoisyParity(BitVec(1, 0), 0.0)])
+    # A float 0.0 written as an int would load back exact: the eval would give
+    # Fraction(1, 2) where the original gives the float 0.5.
+    d = NoisyParity(BitVec(1, 0), 0.0)
     back = dist_from_json(json.loads(json.dumps(dist_to_json(d))))
-    x = BitVec(4, 0)
+    x = BitVec(2, 0)
     assert back.eval(x) == d.eval(x) and isinstance(back.eval(x), float)
 
 
@@ -427,9 +430,6 @@ def test_json_float_eta_zero_stays_float():
     ({"kind": "affine_uniform"}, "n"),
     ({"kind": "affine_uniform", "n": 2, "dim": 0, "basis_rows": ["0", "0"]}, "shift"),
     ({"kind": "noisy_parity", "k": 2, "s": "1"}, "eta"),
-    ({"kind": "function", "table": "1"}, "base"),
-    ({"kind": "point_mass", "value": "1"}, "n"),
-    ({"kind": "product"}, "parts"),
     ({"kind": "dense", "n": 1}, "probs"),
     ({}, "kind"),
 ])
@@ -439,12 +439,9 @@ def test_json_missing_field_names_it(obj, field):
 
 
 @st.composite
-def serializable_dists(draw, depth=2):
-    """Every kind dist_to_json writes; function bases and product parts nest."""
-    kinds = ["affine_uniform", "noisy_parity", "point_mass", "dense"]
-    if depth:
-        kinds += ["function", "product"]
-    kind = draw(st.sampled_from(kinds))
+def serializable_dists(draw):
+    """Every kind dist_to_json writes."""
+    kind = draw(st.sampled_from(["affine_uniform", "noisy_parity", "point_mass", "dense"]))
     if kind == "affine_uniform":
         n = draw(st.integers(1, 6))
         rng = draw(st.randoms(use_true_random=False))
@@ -460,16 +457,24 @@ def serializable_dists(draw, depth=2):
     if kind == "point_mass":
         n = draw(st.integers(1, 6))
         return PointMass(BitVec(n, draw(st.integers(0, (1 << n) - 1))))
-    if kind == "dense":
-        n = draw(st.integers(1, 4))
-        weights = draw(st.lists(st.floats(0, 10), min_size=1 << n, max_size=1 << n)
-                       .filter(lambda w: sum(w) > 0))
-        return Dense(DenseDist(n, np.array(weights) / sum(weights)))
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0, 10), min_size=1 << n, max_size=1 << n)
+                   .filter(lambda w: sum(w) > 0))
+    return Dense(DenseDist(n, np.array(weights) / sum(weights)))
+
+
+@st.composite
+def structured_dists(draw, depth=2):
+    """A serializable distribution, a FunctionDist over one, or a Product;
+    product parts nest."""
+    kind = draw(st.sampled_from(["serializable"] * 4 + (["function", "product"] if depth else [])))
+    if kind == "serializable":
+        return draw(serializable_dists())
     if kind == "function":
-        base = draw(serializable_dists(depth=0))
+        base = draw(serializable_dists())
         table = draw(st.lists(st.integers(0, 1), min_size=1 << base.n, max_size=1 << base.n))
         return FunctionDist(table, base)
-    parts = draw(st.lists(serializable_dists(depth=depth - 1), min_size=1, max_size=3))
+    parts = draw(st.lists(structured_dists(depth=depth - 1), min_size=1, max_size=3))
     return Product(parts)
 
 
@@ -489,7 +494,7 @@ def test_json_roundtrip_property(d, rng):
 # No support has more than 2^n points. So for n <= 20 two supports together
 # stay within tv's enumeration budget of 2^22, and tv needs no other path.
 @settings(max_examples=200, deadline=None)
-@given(serializable_dists())
+@given(structured_dists())
 def test_support_size_at_most_two_to_the_n(d):
     assert d.support_size <= 1 << d.n
 
@@ -498,7 +503,7 @@ def test_support_size_at_most_two_to_the_n(d):
 # most 12: products nest up to nine parts of six bits, and a drawn 22-bit
 # product with 2^22 support points ran for minutes in one Fraction eval each.
 @settings(max_examples=200, deadline=None)
-@given(serializable_dists().filter(lambda d: d.n <= 12), st.data())
+@given(structured_dists().filter(lambda d: d.n <= 12), st.data())
 def test_marginalize_matches_enumerated_marginal(d, data):
     k = data.draw(st.integers(0, d.n), label="k")
     marg = marginalize(d, k)
@@ -523,10 +528,9 @@ def test_tv_refuses_supports_beyond_the_budget():
 # The JSON types each dist_v1 field accepts; bool and float count apart from int.
 _FIELD_TYPES = {
     "schema": {str}, "kind": {str}, "n": {int}, "dim": {int}, "k": {int},
-    "basis_rows": {list}, "shift": {str}, "s": {str}, "eta": {int, float, str},
-    "table": {str}, "base": {dict}, "value": {str}, "parts": {list}, "probs": {list},
+    "basis_rows": {list}, "shift": {str}, "s": {str}, "eta": {int, float, str}, "probs": {list},
 }
-_ITEM_TYPES = {"basis_rows": {str}, "parts": {dict}, "probs": {int, float}}
+_ITEM_TYPES = {"basis_rows": {str}, "probs": {int, float}}
 _JSON_VALUES = {
     type(None): st.none(),
     bool: st.booleans(),
@@ -557,43 +561,6 @@ def test_json_wrong_typed_field_names_it(d, data):
         dist_from_json(obj)
 
 
-def test_json_reads_legacy_point_mass():
-    # Point masses are written as affine_uniform with dim 0; the old kind loads.
-    legacy = dist_from_json({"schema": "dist_v1", "kind": "point_mass", "n": 3, "value": "5"})
-    d = PointMass(BitVec(3, 5))
-    assert all(legacy.eval(BitVec(3, x)) == d.eval(BitVec(3, x)) for x in range(8))
-    blob = dist_to_json(legacy)
-    assert (blob["kind"], blob["dim"], blob["shift"]) == ("affine_uniform", 0, "5")
-
-
-@pytest.mark.parametrize("kind", ["product", "function"])
-def test_json_nesting_is_bounded_on_the_way_down(kind):
-    # 100 levels are read (a function nest that deep then fails on its table
-    # width); deeper nests are refused before the stack overflows.
-    def nest(depth):
-        obj = dist_to_json(NoisyParity(BitVec(1, 1), 0))
-        for _ in range(depth):
-            obj = ({"schema": "dist_v1", "kind": "product", "parts": [obj]} if kind == "product"
-                   else {"schema": "dist_v1", "kind": "function", "base": obj, "table": "1"})
-        return obj
-
-    if kind == "product":
-        assert dist_from_json(nest(100)).n == 2
-    else:
-        with pytest.raises(ValueError, match="up to 20 input bits"):
-            dist_from_json(nest(100))
-    for depth in (101, 3000, 100_000):
-        with pytest.raises(ValueError, match="nest at most 100 levels"):
-            dist_from_json(nest(depth))
-
-
-def test_json_wrong_typed_point_mass_n():
-    with pytest.raises(ValueError, match="field 'n'"):
-        dist_from_json({"schema": "dist_v1", "kind": "point_mass", "n": "3", "value": "1"})
-    with pytest.raises(ValueError, match="must be a JSON object"):
-        dist_from_json(["dist_v1"])
-
-
 @pytest.mark.parametrize("eta", ["1/0", "0/0", "-3/0", "1", "a/2", "1/2/3"])
 def test_json_bad_eta_fraction_names_it(eta):
     with pytest.raises(ValueError, match="field 'eta'"):
@@ -620,16 +587,13 @@ def test_json_dense_rejects_nan_and_n_out_of_range(n, probs, match):
 
 
 # Every hex field, with a good value and a dist_v1 object around it; each is 3
-# bits wide except the table, which is 1 << 1 bits wide.
+# bits wide.
 _HEX_FIELDS = {
-    "value": ("2", lambda v: {"kind": "point_mass", "n": 3, "value": v}),
     "s": ("5", lambda v: {"kind": "noisy_parity", "k": 3, "s": v, "eta": "1/8"}),
     "shift": ("6", lambda v: {"kind": "affine_uniform", "n": 3, "dim": 1,
                               "basis_rows": ["1", "0", "1"], "shift": v}),
     "basis_rows": ("2", lambda v: {"kind": "affine_uniform", "n": 3, "dim": 3,
                                    "basis_rows": ["1", v, "4"], "shift": "0"}),
-    "table": ("2", lambda v: {"kind": "function", "table": v,
-                              "base": {"schema": "dist_v1", "kind": "point_mass", "n": 1, "value": "1"}}),
 }
 
 
@@ -654,8 +618,7 @@ def test_from_hex_reads_either_case_and_checks_width():
     ({"kind": "affine_uniform", "n": 200_000, "dim": 200_000, "basis_rows": ["1"] * 200_000,
       "shift": "0"}, "'n'"),
     ({"kind": "noisy_parity", "k": 1 << 40, "s": "1", "eta": 0}, "'k'"),
-    ({"kind": "point_mass", "n": 1 << 40, "value": "1"}, "'n'"),
-], ids=["affine_uniform-dim", "affine_uniform-n", "noisy_parity-k", "point_mass-n"])
+], ids=["affine_uniform-dim", "affine_uniform-n", "noisy_parity-k"])
 def test_json_widths_refused_before_allocating(obj, field):
     # A 2^40-bit vector takes 128 GB, and the 1 MB object of 200,000 rows
     # unpacks a 200,000^2-bit matrix (40 GB); under a 200 MB address-space
@@ -674,11 +637,33 @@ def test_json_widths_refused_before_allocating(obj, field):
     assert field in proc.stdout
 
 
-def test_json_function_base_over_cap_fails_before_unpacking():
-    # the table would be 2^64 bits wide
-    base = {"schema": "dist_v1", "kind": "point_mass", "n": 64, "value": "0"}
-    with pytest.raises(ValueError, match="truth tables supported up to"):
-        dist_from_json({"schema": "dist_v1", "kind": "function", "table": "0", "base": base})
+# FunctionDist and Product (embed's result) have no JSON form, and the reader
+# has no function, product or point_mass kind.
+_PARITY_OBJ = {"schema": "dist_v1", "kind": "noisy_parity", "k": 1, "s": "1", "eta": 0}
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: dist_to_json(FunctionDist([0, 1], uniform(1))),
+                 "cannot serialize FunctionDist", id="write-function"),
+    pytest.param(lambda: dist_to_json(Product([uniform(1), uniform(2)])),
+                 "cannot serialize Product", id="write-product"),
+    pytest.param(lambda: dist_to_json(embed(NoisyParity(BitVec(1, 1), 0), 4)),
+                 "cannot serialize Product", id="write-embed"),
+    pytest.param(lambda: dist_from_json({"schema": "dist_v1", "kind": "function",
+                                         "table": "6", "base": _PARITY_OBJ}),
+                 "unknown dist kind 'function'", id="read-function"),
+    pytest.param(lambda: dist_from_json({"schema": "dist_v1", "kind": "product",
+                                         "parts": [_PARITY_OBJ]}),
+                 "unknown dist kind 'product'", id="read-product"),
+    pytest.param(lambda: dist_from_json({"schema": "dist_v1", "kind": "point_mass",
+                                         "n": 3, "value": "5"}),
+                 "unknown dist kind 'point_mass'", id="read-point_mass"),
+    pytest.param(lambda: StatOracle(uniform(2), 0.1, "empirical"),
+                 "unknown oracle mode 'empirical'", id="oracle-empirical"),
+])
+def test_unserialized_kinds_and_empirical_mode_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # --- oracles ---------------------------------------------------------------------
@@ -734,36 +719,6 @@ def test_adversarial_mode_perturbs_by_exactly_tau():
     replay = [again.query(ParityCorrelation(BitVec.from_str("10"))) for _ in range(50)]
     fresh = StatOracle(d, tau, "adversarial", adversary_seed=99)
     assert replay == [fresh.query(ParityCorrelation(BitVec.from_str("10"))) for _ in range(50)]
-
-
-def test_empirical_mode_sample_count_formula():
-    rng = random.Random(11)
-    tau, failure, budget = 0.2, 0.02, 10
-    oracle = StatOracle.empirical(uniform(3), tau, rng, failure_prob=failure,
-                                  query_budget=budget)
-    expected = math.ceil(math.log(2.0 / (failure / budget)) / (2 * tau * tau))
-    assert oracle.samples_per_query == expected
-    v = oracle.query(lambda x: 1.0)
-    assert v == 1.0
-    # mean of a +-1 query lands near its expectation
-    d = NoisyParity(BitVec.from_str("110"), 0)
-    oracle2 = StatOracle.empirical(d, 0.1, rng, failure_prob=0.01, query_budget=5)
-    got = oracle2.query(ParityCorrelation(BitVec.from_str("110")))
-    assert got == pytest.approx(1.0, abs=0.2)
-
-
-def test_empirical_rejects_bad_tau_before_dividing():
-    for tau in (0, 0.0, -0.1, 1.0):
-        with pytest.raises(ValueError, match="tau"):
-            StatOracle.empirical(uniform(2), tau, random.Random(0),
-                                 failure_prob=0.01, query_budget=5)
-    # tau^2 underflows to 0, the per-query budget underflows to 0, the query
-    # budget is too large for a float, and the count is infinite.
-    for tau, failure, budget in [(1e-200, 0.01, 5), (0.1, 1e-300, 10**100),
-                                 (0.1, 0.01, 10**400), (1e-160, 0.01, 5)]:
-        with pytest.raises(ValueError, match="samples per query"):
-            StatOracle.empirical(uniform(2), tau, random.Random(0),
-                                 failure_prob=failure, query_budget=budget)
 
 
 def test_boolean_function_query_correspondence():

@@ -8,7 +8,6 @@ import pytest
 
 from borncraft.circuit import Circuit, Gate, parity_circuit, parse_circuit, random_circuit
 from borncraft.dist import (
-    MAX_SAMPLES_PER_QUERY,
     DenseDist,
     FunctionDist,
     NoisyParity,
@@ -27,15 +26,6 @@ from borncraft.statevector import opnorm_tv_check
 
 def _flat(n: int) -> AffineSubspace:
     return uniform(n).subspace
-
-
-def _empirical(**kw):
-    return StatOracle.empirical(uniform(2), 0.1, random.Random(0), **kw)
-
-
-def _stat(samples_per_query):
-    return StatOracle(uniform(2), 0.1, "empirical", rng=random.Random(0),
-                      samples_per_query=samples_per_query)
 
 
 def _run(**kw):
@@ -89,18 +79,6 @@ _GUARDS = [
      r"input length must be len\(t\)\+1"),
     ("expectation-support-budget", lambda: StatOracle(uniform(23), 0.1).query(lambda x: 1),
      "support too large for an exact expectation"),
-    ("samples_per_query-positive", lambda: _stat(0), "samples_per_query must be positive"),
-    ("samples_per_query-float", lambda: _stat(2.5), "samples_per_query must be an int"),
-    ("samples_per_query-bool", lambda: _stat(True), "samples_per_query must be an int"),
-    ("samples_per_query-cap", lambda: _stat(MAX_SAMPLES_PER_QUERY + 1),
-     f"at most {MAX_SAMPLES_PER_QUERY}"),
-    ("empirical-count-cap", lambda: StatOracle.empirical(
-        uniform(2), 1e-150, random.Random(0), failure_prob=0.01, query_budget=5),
-     f"at most {MAX_SAMPLES_PER_QUERY}"),
-    ("empirical-failure-prob", lambda: _empirical(failure_prob=0, query_budget=5),
-     "bad failure budget"),
-    ("empirical-query-budget", lambda: _empirical(failure_prob=0.1, query_budget=0),
-     "bad failure budget"),
     ("dist_from_json-kind", lambda: dist_from_json({"schema": "dist_v1", "kind": "bogus"}),
      "unknown dist kind 'bogus'"),
     # harness
@@ -145,7 +123,3 @@ _GUARDS = [
 def test_guard_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
-
-
-def test_samples_per_query_cap_is_admitted():
-    assert _stat(MAX_SAMPLES_PER_QUERY).samples_per_query == MAX_SAMPLES_PER_QUERY
