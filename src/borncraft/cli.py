@@ -21,9 +21,9 @@ from .statevector import sv_distribution
 from .circuit import parse_circuit
 
 
-# Longest circuit or grid file read, in characters: a 4 MiB circuit of about
-# 0.5 M gates parses and simulates in 0.7 s at n = 128 and 0.8 s at n = 1024,
-# in 80-85 MB (16 MiB took 2.2 s and 212 MB; Python 3.11, 2-vCPU VM).
+# Longest circuit or grid file read, in characters: a 4 MiB random circuit of
+# 0.5-0.6 M gates parses and simulates in 0.27-0.32 s at n = 128 and 1024, in
+# 79-84 MB (16 MiB: 1.1 s and 250 MB at n = 128; Python 3.11, 2-vCPU VM).
 MAX_INPUT_CHARS = 4 << 20
 
 # Most samples `simulate --samples` prints, checked before the circuit file

@@ -1,12 +1,15 @@
 """Circuit IR: layer packing, parity builder, routing structure, text format."""
 
+import copy
+import dataclasses
 import decimal
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from borncraft import stabilizer
 from borncraft.circuit import (
@@ -307,3 +310,199 @@ def test_pack_reports_first_out_of_range_qubit(monkeypatch):
         Circuit(4, [Gate.h(0), Gate.cnot(5, 7)])
     with pytest.raises(ValueError, match="qubit 7 out of range for 4-qubit"):
         Circuit(4, [Gate.cnot(1, 7)])
+
+
+# --- the text parser against a frozen copy of the one it replaced -----------------
+
+# Gate and parse_circuit as they stood before Gate was checked in a slotted
+# __init__ and the parser split each line once: a generated __init__ plus
+# __post_init__, and a line stripped, split and read with map(). Kept as written
+# (less the per-process caches), so the live parser must match it token for token.
+@dataclasses.dataclass(frozen=True)
+class _FrozenGate:
+    kind: str
+    qubits: tuple
+
+    def __post_init__(self):
+        if type(self.kind) is not str or type(self.qubits) is not tuple:
+            raise ValueError(f"a gate is a str kind and a tuple of qubits, got "
+                             f"{self.kind!r}, {self.qubits!r}")
+        arity = GATE_ARITY.get(self.kind)
+        if arity is None:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if len(self.qubits) != arity:
+            raise ValueError(f"{self.kind} takes {arity} qubit(s)")
+        for q in self.qubits:
+            if type(q) is not int:
+                raise ValueError(f"qubit indices must be ints, got {self.qubits!r}")
+            if q < 0:
+                raise ValueError("negative qubit index")
+        if arity == 2 and self.qubits[0] == self.qubits[1]:
+            raise ValueError("two-qubit gate needs distinct qubits")
+
+
+def _frozen_read_int(field):
+    if not (field.isascii() and field.lstrip("-").isdigit()):
+        raise ValueError(f"{field!r} is not a decimal integer")
+    return int(field)
+
+
+def _frozen_parse_circuit(text):
+    n = None
+    gates = []
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = seen.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if n is None:
+            if parts[0] != "qubits" or len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 'qubits N' header")
+            try:
+                n = _frozen_read_int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad qubit count {parts[1]!r}") from None
+            if n < 0:
+                raise ValueError(f"line {lineno}: negative qubit count")
+            if n > MAX_TABLEAU_QUBITS:
+                raise ValueError(f"line {lineno}: circuits limited to {MAX_TABLEAU_QUBITS} qubits")
+            continue
+        kind = parts[0].upper()
+        arity = GATE_ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}")
+        if len(parts) != 1 + arity:
+            raise ValueError(f"line {lineno}: {kind} takes {arity} qubit(s)")
+        try:
+            qubits = tuple(map(_frozen_read_int, parts[1:]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad qubit index") from None
+        try:
+            gate = seen[raw] = _FrozenGate(kind, qubits)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        gates.append(gate)
+    if n is None:
+        raise ValueError("missing 'qubits N' header")
+    return Circuit(n, gates)
+
+
+# Qubit fields in range under a 4-qubit header, and odd ones: out of range,
+# negative, or taken by int() but never written by the format.
+_GOOD_FIELDS = ["0", "1", "2", "3"]
+_ODD_FIELDS = ["4", "5", "-1", "-0", "+1", "007", "1_0", "\u0663", "x", "--1"]
+_KINDS = ["H", "h", "S", "t", "T", "CNOT", "cnot", "CNot", "SWAP", "swap"]
+
+
+@st.composite
+def circuit_texts(draw):
+    """Texts near the format: a header (maybe repeated), gate lines of any
+    arity, comments, blank and whitespace-only lines, and mixed line breaks."""
+    space = st.sampled_from([" ", "\t", "  ", " \t"])
+    pad = st.sampled_from(["", " ", "\t"])
+    # Mostly qubits in range, so that some texts parse and others fail late,
+    # and one odd field per text, so that each is drawn often.
+    odd = draw(st.sampled_from(_ODD_FIELDS))
+    field = st.sampled_from(_GOOD_FIELDS * 2 + [odd])
+
+    def line(head, fields):
+        seps = draw(st.lists(space, min_size=len(fields), max_size=len(fields)))
+        body = head + "".join(s + f for s, f in zip(seps, fields))
+        comment = draw(st.sampled_from(["", "#", " # note", "\t# H 0 1", "#qubits 2"]))
+        return draw(pad) + body + draw(pad) + comment
+
+    header = line("qubits", [draw(st.sampled_from(["4", "4", "3", odd]))])
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = draw(st.sampled_from(["blank", "any"] + ["gate"] * 4))
+        if shape == "blank":
+            pool.append(draw(st.sampled_from(["", " ", "\t", "# comment", "   # H 0"])))
+        elif shape == "any":
+            kind = draw(st.sampled_from(_KINDS + ["X", "qubits", "QUBITS"]))
+            pool.append(line(kind, draw(st.lists(field, max_size=3))))
+        else:
+            kind = draw(st.sampled_from(_KINDS))
+            arity = GATE_ARITY[kind.upper()]
+            pool.append(line(kind, draw(st.lists(field, min_size=arity, max_size=arity))))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    # The header first in most texts, and again (or only) further on in some.
+    if draw(st.integers(0, 3)):
+        lines.insert(0, header)
+    if not draw(st.integers(0, 3)):
+        lines.insert(draw(st.integers(0, len(lines))), header)
+    breaks = draw(st.lists(st.sampled_from(["\n", "\r\n", "\x0c", "\r"]),
+                           min_size=len(lines), max_size=len(lines)))
+    return "".join(l + b for l, b in zip(lines, breaks))
+
+
+def _parse_outcome(parse, text):
+    try:
+        c = parse(text)
+    except ValueError as e:
+        return "error", str(e)
+    return c.n, [(g.kind, g.qubits) for g in c.given]
+
+
+# Each outcome once for certain; random texts reach the rarer ones seldom.
+@settings(max_examples=500, deadline=None)
+@given(circuit_texts())
+@example("qubits 4\n\th 0 # c\r\nCNOT 1 3\x0cSWAP\t2 0\nH 0\n")
+@example("qubits 4\nH 0\nqubits 4\n")
+@example("Qubits 4\nH 0\n")
+@example("# only a comment\n \t\n")
+@example("qubits -1\nH 0\n")
+@example("qubits 4\nH 0\ncnot 1\n")
+@example("qubits 4\nH 0\nH -1\n")
+@example("qubits 4\nH 0\nCNOT 1 x\n")
+@example("qubits 4\r\nCNOT 2\t2 # c\n")
+@example("qubits 3\x0ccnot 0\t3\n")
+def test_parse_circuit_matches_the_frozen_parser(text):
+    assert _parse_outcome(parse_circuit, text) == _parse_outcome(_frozen_parse_circuit, text)
+
+
+# --- Gate as a value ---------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, qubits", [("H", (0,)), ("T", (7,)), ("CNOT", (2, 0)),
+                                          ("SWAP", (1, 3))])
+def test_gate_is_the_same_value_as_the_frozen_dataclass(kind, qubits):
+    g, old = Gate(kind, qubits), _FrozenGate(kind, qubits)
+    assert repr(g) == repr(old).replace("_FrozenGate", "Gate")
+    assert repr(g) == f"Gate(kind={kind!r}, qubits={qubits!r})"
+    assert hash(g) == hash(old) == hash((kind, qubits))
+    assert g == Gate(kind, qubits) and g == Gate(qubits=qubits, kind=kind)
+    assert g != (kind, qubits) and old != (kind, qubits)
+    assert g != Gate("H", (9,)) and g != old
+    assert dataclasses.astuple(g) == dataclasses.astuple(old) == (kind, qubits)
+
+
+def test_gate_is_frozen_and_has_no_dict():
+    g = Gate.cnot(0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.kind = "SWAP"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.qubits = (1, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del g.qubits
+    assert not hasattr(g, "__dict__")
+    assert (g.kind, g.qubits) == ("CNOT", (0, 1))
+    # replace() goes through the same checks as construction.
+    with pytest.raises(ValueError, match="distinct"):
+        dataclasses.replace(g, qubits=(0, 0))
+    assert dataclasses.replace(g, kind="SWAP") == Gate.swap(0, 1)
+
+
+@pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)),
+                                   copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_circuits_of_gates_survive_pickle_and_copy(clone):
+    c = random_circuit(random.Random(4), 9, 6, allow_t=True)
+    again = clone(c)
+    assert again == c and hash(again) == hash(c)
+    assert [repr(g) for g in again.given] == [repr(g) for g in c.given]
+    assert all(type(g) is Gate and not hasattr(g, "__dict__") for g in again.given)
+    assert format_circuit(again) == format_circuit(c)

@@ -7,6 +7,10 @@ CPython 3.10, 3.12 and 3.13 that exists (it skips the missing ones), with a
 stub `numpy` first on the path that holds only `sqrt` and `ndarray`, so any
 other NumPy call fails. It requires the hashes of the running interpreter,
 and the same `borncraft.__all__`, which is derived from the import block.
+The same run parses a fixed circuit text and hashes its `format_circuit`,
+the `repr` of each `Gate` and a pickle round trip, since `Gate` is a slotted
+frozen dataclass, whose generated methods come from each version's
+`dataclasses`.
 
 Its limit: every float these grids sum is dyadic with a small denominator
 (TVs of 0, 1/2, 3/4, ...; mean TV 0 for `sq-vs-sample`), so each sum is
@@ -41,15 +45,35 @@ SPECS = [
     ["sq-vs-sample", {"k": 10}, 50],
 ]
 
+# Comments, blank lines, mixed case and a repeated line; the Gates are slotted
+# frozen dataclasses, whose repr and pickling come from the running dataclasses.
+CIRCUIT_TEXT = """# four wires
+qubits 4
+H 0   # the first layer
+cnot 0 3
+\tSWAP 1 2
+
+t 3
+H 0
+CNOT 2 1  # again
+H 0
+"""
+
 _SCRIPT = """
-import hashlib, json, sys
+import hashlib, json, pickle, sys
 import borncraft
+from borncraft.circuit import format_circuit, parse_circuit
 from borncraft.harness import ExperimentSpec, run
 out = {"__all__": sorted(borncraft.__all__)}
 for name, grid, trials in json.loads(sys.argv[1]):
     obj = run(ExperimentSpec(name, grid, trials, 1)).to_dict()
     del obj["generated_at"]
     out[name] = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+c = parse_circuit(sys.argv[2])
+again = pickle.loads(pickle.dumps(c))
+seen = [format_circuit(c), [repr(g) for g in c.given], again == c,
+        format_circuit(again), [repr(g) for g in again.given]]
+out["parse_circuit"] = hashlib.sha256(json.dumps(seen).encode()).hexdigest()
 print(json.dumps(out))
 """
 
@@ -78,7 +102,7 @@ def _interpreter(minor: int) -> str | None:
 def _hashes(python: str, path_dirs: tuple[str, ...] = ()) -> dict:
     src = str(Path(borncraft.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([*path_dirs, src]))
-    proc = subprocess.run([python, "-c", _SCRIPT, json.dumps(SPECS)], env=env,
+    proc = subprocess.run([python, "-c", _SCRIPT, json.dumps(SPECS), CIRCUIT_TEXT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
