@@ -248,16 +248,23 @@ def _solutions(rows, cols: int) -> AffineSubspace | None:
     pivots = _build_pivots(int(format(r & mask, f"0{width}b")[::-1], 2) for r in rows)
     if 1 in pivots:
         return None
+    # Back-substitution in one ascending pass: each row clears the pivot bits
+    # below its own, highest first, with rows already reduced, which bring in
+    # no other pivot bit.
+    below = 0
     for k in sorted(pivots):
-        row, bit = pivots[k], 1 << (k - 1)
-        for k2, row2 in pivots.items():
-            if k2 > k and row2 & bit:
-                pivots[k2] = row2 ^ row
+        row = pivots[k]
+        while hit := row & below:
+            row ^= pivots[hit.bit_length()]
+        pivots[k] = row
+        below |= 1 << (k - 1)
     # Row c holds pivot c's row; after the transpose, t[cols - f] lists the
     # pivots that variable f feeds and t[0] is the shift.
     t = BitMatrix(cols, width, [pivots.get(width - c, 0) for c in range(cols)]).transpose().data
-    return AffineSubspace._span(
-        cols, [t[cols - f] | 1 << f for f in range(cols) if width - f not in pivots], t[0])
+    # Free variable f feeds only pivots below f, so column f has bit length
+    # f + 1: the lengths differ, and keyed by them the columns are their own pivots.
+    vecs = [t[cols - f] | 1 << f for f in range(cols) if width - f not in pivots]
+    return AffineSubspace._from_cols(cols, vecs, t[0], {v.bit_length(): v for v in vecs})
 
 
 def solve(m: BitMatrix, b: BitVec) -> BitVec | None:

@@ -35,6 +35,8 @@ def closure_learn(oracle: SampleOracle, n: int, delta: float) -> AffineUniform:
     float delta (the failure probability is at most ~delta, with a factor-2
     slack at full dimension because the first sample only seeds the shift).
     With delta = f * 2^e and 1/2 <= f < 1 (math.frexp), j = 1 - e."""
+    if type(n) is not int:  # a bool is an int, not a size
+        raise ValueError("n must be an int")
     if n <= 0:
         raise ValueError("n must be positive")
     if not 0 < delta < 1 or 1.0 / delta == math.inf:

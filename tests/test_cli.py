@@ -88,6 +88,25 @@ def test_learn_closure(parity_file, capsys):
     assert dist_from_json(payload["learned"]).n == 3
 
 
+def test_learn_closure_success_is_a_zero_tv(parity_file, capsys, monkeypatch):
+    # Success is read from the exact TV, so learn closure needs no same_set.
+    from borncraft.gf2 import AffineSubspace
+
+    def fail(*args, **kwargs):
+        raise AssertionError("same_set was called")
+
+    monkeypatch.setattr(AffineSubspace, "same_set", fail)
+    outcomes = set()
+    for seed in range(12):
+        argv = ["learn", "closure", "--circuit", parity_file, "--delta", "0.9",
+                "--seed", str(seed)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["success"] is (payload["tv_to_truth"] == 0.0)
+        outcomes.add(payload["success"])
+    assert outcomes == {False, True}
+
+
 def test_experiment_json_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = main([

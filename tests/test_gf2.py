@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from borncraft.circuit import random_circuit
-from borncraft.dist import AffineUniform, dist_from_json, dist_to_json, marginalize
+from borncraft.dist import AffineUniform, dist_from_json, dist_to_json, marginalize, tv
 from borncraft.gf2 import (
     AffineSubspace,
     BitMatrix,
@@ -283,6 +283,56 @@ def test_solutions_match_lowest_bit_elimination_at_wide_widths(cols):
             assert all(m.mul_vec(v) == BitVec.zeros(m.rows) for v in basis)
 
 
+def _check_pivots(sub):
+    """The subspace's pivots are those its columns build, keyed by bit length."""
+    assert sub._pivots == _build_pivots(sub._cols)
+    assert all(key == row.bit_length() for key, row in sub._pivots.items())
+
+
+def _parity(x):
+    return x.bit_count() & 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solutions_read_out_is_the_solution_set_with_its_pivots(data):
+    cols = data.draw(st.integers(0, 130), label="cols")
+    kind = data.draw(st.sampled_from(["rank 0", "full rank", "random", "inconsistent"]),
+                     label="kind")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    top = 1 << cols
+    if kind == "rank 0":
+        rows = [0] * data.draw(st.integers(0, 3))
+    elif kind == "full rank":
+        # Row j has its lowest coefficient at j; shuffled, with random right-hand sides.
+        rows = [rng.getrandbits(cols + 1) >> (j + 1) << (j + 1) | 1 << j for j in range(cols)]
+        rng.shuffle(rows)
+    else:
+        count = data.draw(st.integers(0, cols + 3))
+        rows = [rng.getrandbits(cols + 1) for _ in range(count)]
+        if kind == "inconsistent":
+            # A combination of the rows with its right-hand side flipped holds 0 = 1.
+            rows.append(_combination(rng, rows) ^ top)
+    coeffs = [r & (top - 1) for r in rows]
+    consistent = len(_build_pivots(coeffs)) == len(_build_pivots(r & (2 * top - 1) for r in rows))
+    sol = _solutions(rows, cols)
+    if not consistent:
+        assert kind != "full rank" and sol is None
+        return
+    _check_pivots(sol)
+    # shift + span(cols) solves the system and has the solution set's dimension.
+    assert sol.n == cols and sol.dim == cols - len(_build_pivots(coeffs))
+    for r, c in zip(rows, coeffs):
+        assert _parity(c & sol.shift.bits) == (r >> cols) & 1
+        assert all(_parity(c & v) == 0 for v in sol._cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 130), layers=st.integers(0, 12), rng=st.randoms(use_true_random=False))
+def test_support_read_out_keeps_its_pivots(n, layers, rng):
+    _check_pivots(simulate_clifford(random_circuit(rng, n, layers)).support())
+
+
 # --- BitMatrix ----------------------------------------------------------------
 
 
@@ -402,6 +452,48 @@ def test_same_set_equal_but_different_parametrization():
     assert a.same_set(b) and b.same_set(a)
 
 
+@st.composite
+def _related_pairs(draw):
+    """(a, b, whether a and b are the same set, or None when the kind of
+    pair leaves it open) in F2^n, n up to 130."""
+    n = draw(st.integers(0, 130), label="n")
+    rng = draw(st.randoms(use_true_random=False), label="rng")
+    a = AffineSubspace.random(rng, n, draw(st.integers(0, n), label="dim"))
+    kind = draw(st.sampled_from(["rebased", "recovered", "coset", "other dim", "random"]),
+                label="kind")
+    if kind == "rebased":
+        # Unitriangular combinations of a's columns, shuffled, and a member as shift.
+        cols = [c ^ _combination(rng, a._cols[:i]) for i, c in enumerate(a._cols)]
+        rng.shuffle(cols)
+        return a, AffineSubspace._span(n, cols, a.sample(rng).bits), True
+    if kind == "recovered":
+        # A subset of a, as recover_affine builds it from a's samples.
+        points = [a.sample(rng) for _ in range(draw(st.integers(1, a.dim + 2)))]
+        b = recover_affine(points).subspace
+        return a, b, b.dim == a.dim
+    if kind == "coset":
+        shift = a.shift.bits ^ (rng.getrandbits(n) if n else 0)
+        return a, AffineSubspace._span(n, a._cols, shift), a.contains(BitVec(n, shift))
+    if kind == "other dim" and n:
+        m = draw(st.integers(0, n).filter(lambda m: m != a.dim), label="other dim")
+        return a, AffineSubspace.random(rng, n, m), False
+    return a, AffineSubspace.random(rng, n, a.dim), None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_related_pairs())
+def test_tv_is_zero_exactly_for_the_same_set(pair):
+    # recovery_trial and learn closure read success as tv == 0.
+    a, b, same = pair
+    d = tv(AffineUniform(a), AffineUniform(b))
+    assert type(d) is Fraction and d == tv(AffineUniform(b), AffineUniform(a))
+    assert (d == 0) == a.same_set(b) == b.same_set(a)
+    if same is not None:
+        assert a.same_set(b) == same
+    # So float(d) is 0.0 only for d == 0.
+    assert d == 0 or d >= Fraction(1, 2)
+
+
 # --- AffineSubspace against enumeration, over every construction path ------------
 
 
@@ -489,8 +581,7 @@ def test_subspace_methods_match_enumeration_on_every_path(data):
         b, sb = data.draw(subspaces(n), label="b")
     # Every path builds the pivot dict of its columns with the set.
     for sub in (a, b):
-        assert sub._pivots == _build_pivots(sub._cols)
-        assert all(key == row.bit_length() for key, row in sub._pivots.items())
+        _check_pivots(sub)
     # Run every check twice, in a drawn order, so that a call which changed
     # the pivot dict would show in a later call.
     ops = data.draw(st.permutations(_OPS * 2), label="ops")

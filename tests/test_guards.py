@@ -13,13 +13,19 @@ from borncraft.dist import (
     NoisyParity,
     ParityCorrelation,
     Product,
+    SampleOracle,
     StatOracle,
     dist_from_json,
     uniform,
 )
 from borncraft.gf2 import AffineSubspace, BitMatrix, BitVec, max_independent_subset, solve
 from borncraft.harness import ExperimentSpec, run, wilson_interval
-from borncraft.learn import lpn_brute_force, recover_affine, sq_correlation_learner
+from borncraft.learn import (
+    closure_learn,
+    lpn_brute_force,
+    recover_affine,
+    sq_correlation_learner,
+)
 from borncraft.stabilizer import StabTableau
 from borncraft.statevector import opnorm_tv_check
 
@@ -36,6 +42,10 @@ def _run(**kw):
 
 def _sq(k: int, budget: int):
     return sq_correlation_learner(StatOracle(uniform(2), 0.1), k, budget, random.Random(0))
+
+
+def _closure(n):
+    return closure_learn(SampleOracle(uniform(1), random.Random(0)), n, 0.5)
 
 
 _GUARDS = [
@@ -91,6 +101,9 @@ _GUARDS = [
     ("run-master_seed-str", lambda: _run(master_seed="x"), "master_seed must be an int"),
     ("run-master_seed-none", lambda: _run(master_seed=None), "master_seed must be an int"),
     # learn
+    # A float n ended in a TypeError from range, and n = True ran as n = 1.
+    ("closure_learn-float-n", lambda: _closure(2.0), "n must be an int"),
+    ("closure_learn-bool-n", lambda: _closure(True), "n must be an int"),
     ("recover_affine-empty", lambda: recover_affine([]), "need at least one sample"),
     ("sq_correlation_learner-k", lambda: _sq(0, 10), "k must be positive"),
     ("sq_correlation_learner-budget", lambda: _sq(1, -1), "budget must be nonnegative"),

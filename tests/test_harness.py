@@ -10,8 +10,8 @@ import pytest
 
 from borncraft import harness
 from borncraft.circuit import T_NOISE_RATE, parity_circuit
-from borncraft.dist import NoisyParity, tv
-from borncraft.gf2 import BitVec
+from borncraft.dist import AffineUniform, NoisyParity, SampleOracle, tv
+from borncraft.gf2 import AffineSubspace, BitVec
 from borncraft.harness import (
     EXPERIMENTS,
     MAX_PARITY_TV_BITS,
@@ -26,6 +26,7 @@ from borncraft.harness import (
     wilson_interval,
     wilson_sigma,
 )
+from borncraft.learn import recover_affine
 from borncraft.statevector import sv_distribution
 
 
@@ -212,6 +213,48 @@ def test_recovery_trial_builds_no_basis_matrix(monkeypatch):
     for m, k in ((0, 0), (4, 6), (8, 8), (12, 20)):
         ok, _, queries = recovery_trial(16, m, k, trial_rng(0, m, k))
         assert queries == k + 1
+
+
+def test_recovery_trial_never_checks_set_equality(monkeypatch):
+    # Success is read from the exact TV, so the trial needs no same_set.
+    def fail(*args, **kwargs):
+        raise AssertionError("same_set was called")
+
+    monkeypatch.setattr(AffineSubspace, "same_set", fail)
+    outcomes = set()
+    for m, k in ((0, 0), (4, 2), (4, 6), (8, 8), (12, 20)):
+        ok, dist_tv, _ = recovery_trial(16, m, k, trial_rng(0, m, k))
+        assert ok == (dist_tv == 0.0)
+        outcomes.add(ok)
+    assert outcomes == {False, True}
+
+
+def _recovery_trial_with_same_set(n, m, k, rng):
+    """recovery_trial as it was when success came from a separate same_set
+    check next to the exact TV."""
+    truth = AffineSubspace.random(rng, n, m)
+    truth_dist = AffineUniform(truth)
+    oracle = SampleOracle(truth_dist, rng)
+    samples = [oracle.draw() for _ in range(k + 1)]
+    learned = recover_affine(samples)
+    success = learned.subspace.same_set(truth)
+    dist_tv = float(tv(learned, truth_dist))
+    return success, dist_tv, oracle.queries
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 16, 64, 130])
+def test_recovery_trial_matches_a_separate_same_set_check(n):
+    outcomes = set()
+    for m in sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1))):
+        for k in sorted({0, max(m - 1, 0), m, m + 1, m + 4}):
+            for seed in range(6):
+                got = recovery_trial(n, m, k, trial_rng(seed, m, k))
+                want = _recovery_trial_with_same_set(n, m, k, trial_rng(seed, m, k))
+                assert got == want
+                assert [type(x) for x in got] == [bool, float, int]
+                outcomes.add(got[0])
+    # F2^0 has one point, so every trial there succeeds.
+    assert outcomes == ({True} if n == 0 else {False, True})
 
 
 # Grids the table refuses before any trial runs: (experiment, grid, the key
