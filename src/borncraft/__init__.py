@@ -12,7 +12,6 @@ from .gf2 import (
     BitVec,
     max_independent_subset,
     nullspace,
-    rank,
     solve,
 )
 from .circuit import (

@@ -19,9 +19,9 @@ T_NOISE_RATE = 0.14644660940672624
 _P_TWO = 0.4
 
 # The tableau holds 2n^2 bits and `support` does O(n^2) row operations on
-# n-bit rows: at this cap a 32-layer random circuit simulates in 0.08 s and
-# gives its support in 0.5 s, in 98 MB (Python 3.11, 2-vCPU VM). No backend
-# simulates more qubits, so parse_circuit refuses larger counts.
+# n-bit rows: at this cap a 32-layer random circuit simulates in 0.04-0.05 s and
+# gives its support in 0.39-0.41 s, at a peak RSS of 104 MB (Python 3.11, 2-vCPU
+# VM). No backend simulates more qubits, so parse_circuit refuses larger counts.
 MAX_TABLEAU_QUBITS = 4096
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .circuit import MAX_TABLEAU_QUBITS
-from .gf2 import AffineSubspace, BitMatrix, BitVec
+from .gf2 import AffineSubspace, BitMatrix, BitVec, _transpose
 
 DIST_SCHEMA = "dist_v1"
 
@@ -370,7 +370,7 @@ def dist_to_json(d: Dist) -> dict:
             "kind": "affine_uniform",
             "n": sub.n,
             "dim": sub.dim,
-            "basis_rows": [format(row, "x") for row in sub.basis.data],
+            "basis_rows": [format(row, "x") for row in _transpose(sub._cols, sub.n)],
             "shift": sub.shift.to_hex(),
         }
     if isinstance(d, NoisyParity):

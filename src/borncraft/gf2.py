@@ -39,6 +39,19 @@ def _build_pivots(vecs, pivots: dict[int, int] | None = None,
     return pivots
 
 
+def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
+    """The len(rows) x cols bit matrix with row i = rows[i], each below 2^cols,
+    read by column: bit i of out[j] is bit j of rows[i]."""
+    # Unpack to one byte per bit, transpose, repack: O(rows) Python steps.
+    nbytes = (cols + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(rows), nbytes), axis=1, count=cols, bitorder="little")
+    # Packing a contiguous copy is faster than packing the strided view.
+    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    out, step = packed.tobytes(), packed.shape[1]
+    return tuple([int.from_bytes(out[j * step:(j + 1) * step], "little") for j in range(cols)])
+
+
 class BitVec:
     """Immutable vector over GF(2); component i is bit i of ``bits``.
 
@@ -156,47 +169,8 @@ class BitMatrix:
         self.cols = cols
         self.data = tuple(r & mask for r in data)
 
-    @classmethod
-    def from_rows(cls, vs: Sequence[BitVec], cols: int | None = None) -> "BitMatrix":
-        if cols is None:
-            if not vs:
-                raise ValueError("cols required for an empty row list")
-            cols = vs[0].n
-        if any(v.n != cols for v in vs):
-            raise ValueError("rows have mixed lengths")
-        return cls(len(vs), cols, [v.bits for v in vs])
-
-    @classmethod
-    def from_cols(cls, vs: Sequence[BitVec], rows: int | None = None) -> "BitMatrix":
-        if rows is None:
-            if not vs:
-                raise ValueError("rows required for an empty column list")
-            rows = vs[0].n
-        if any(v.n != rows for v in vs):
-            raise ValueError("columns have mixed lengths")
-        return cls(len(vs), rows, [v.bits for v in vs]).transpose()
-
     def transpose(self) -> "BitMatrix":
-        # Unpack to one byte per bit, transpose, repack: O(rows) Python steps.
-        nbytes = (self.cols + 7) // 8
-        raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in self.data), np.uint8)
-        bits = np.unpackbits(raw.reshape(self.rows, nbytes), axis=1, count=self.cols,
-                             bitorder="little")
-        # Packing a contiguous copy is faster than packing the strided view.
-        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-        out, step = packed.tobytes(), packed.shape[1]
-        data = [int.from_bytes(out[j * step:(j + 1) * step], "little") for j in range(self.cols)]
-        return BitMatrix(self.cols, self.rows, data)
-
-    def mul_vec(self, v: BitVec) -> BitVec:
-        """Matrix times column vector (length cols -> length rows)."""
-        if v.n != self.cols:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for i, r in enumerate(self.data):
-            if (r & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BitVec(self.rows, bits)
+        return BitMatrix(self.cols, self.rows, _transpose(self.data, self.cols))
 
     def __eq__(self, other) -> bool:
         return (
@@ -211,11 +185,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-
-def rank(m: BitMatrix) -> int:
-    """Dimension of the row space."""
-    return len(_build_pivots(m.data))
 
 
 def max_independent_subset(vs: Sequence[BitVec]) -> list[int]:
@@ -260,7 +229,7 @@ def _solutions(rows, cols: int) -> AffineSubspace | None:
         below |= 1 << (k - 1)
     # Row c holds pivot c's row; after the transpose, t[cols - f] lists the
     # pivots that variable f feeds and t[0] is the shift.
-    t = BitMatrix(cols, width, [pivots.get(width - c, 0) for c in range(cols)]).transpose().data
+    t = _transpose([pivots.get(width - c, 0) for c in range(cols)], width)
     # Free variable f feeds only pivots below f, so column f has bit length
     # f + 1: the lengths differ, and keyed by them the columns are their own pivots.
     vecs = [t[cols - f] | 1 << f for f in range(cols) if width - f not in pivots]
@@ -294,7 +263,7 @@ class AffineSubspace:
     def __init__(self, basis: BitMatrix, shift: BitVec):
         if basis.rows != shift.n:
             raise ValueError("basis/shift dimension mismatch")
-        cols = basis.transpose().data
+        cols = _transpose(basis.data, basis.cols)
         pivots = _build_pivots(cols)
         if len(pivots) != len(cols):
             raise ValueError("basis columns are dependent")
@@ -353,7 +322,7 @@ class AffineSubspace:
     @property
     def basis(self) -> BitMatrix:
         """The n x dim matrix whose columns are the basis vectors."""
-        return BitMatrix(self.dim, self.n, self._cols).transpose()
+        return BitMatrix(self.n, self.dim, _transpose(self._cols, self.n))
 
     @property
     def n(self) -> int:

@@ -55,6 +55,8 @@ def sq_correlation_learner(oracle: StatOracle, k: int, budget: int, rng) -> BitV
     """Probe candidate parities with correlation queries in a seeded random
     order; return the first candidate whose response exceeds 1/2, or None
     once the query budget is spent."""
+    if type(k) is not int or type(budget) is not int:  # a bool is an int, not a size
+        raise ValueError("k and budget must be ints")
     if k < 1:
         raise ValueError("k must be positive")
     if budget < 0:
@@ -86,6 +88,8 @@ def lpn_brute_force(samples: Sequence[tuple[BitVec, int]], k: int) -> BitVec:
     Ties break to the lexicographically smallest candidate bit string. Only
     viable at small k; the guard is a hard error.
     """
+    if type(k) is not int:  # a bool is an int, not a size
+        raise ValueError("k must be an int")
     if k < 1:
         raise ValueError("k must be positive")
     if k > MAX_BRUTE_FORCE_BITS:

@@ -7,7 +7,7 @@ with uniform probabilities; `StabTableau.support` extracts it exactly.
 from __future__ import annotations
 
 from .circuit import MAX_TABLEAU_QUBITS, Circuit
-from .gf2 import AffineSubspace, BitMatrix, _build_pivots, _lsb, _solutions
+from .gf2 import AffineSubspace, _build_pivots, _lsb, _solutions, _transpose
 
 
 def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
@@ -51,23 +51,20 @@ class StabTableau:
 
     @property
     def xs(self) -> tuple[int, ...]:
-        return BitMatrix(self.n, self.n, self._x).transpose().data
+        return _transpose(self._x, self.n)
 
     @property
     def zs(self) -> tuple[int, ...]:
-        return BitMatrix(self.n, self.n, self._z).transpose().data
+        return _transpose(self._z, self.n)
 
     @property
     def rs(self) -> tuple[int, ...]:
         return tuple((self._r >> i) & 1 for i in range(self.n))
 
-    def apply(self, gate) -> None:
-        """Aaronson-Gottesman update of every row at once."""
-        self.apply_all((gate,))
-
     def apply_all(self, gates) -> None:
-        """Apply the gates in order. A non-Clifford gate raises ValueError and
-        leaves the tableau as the gates before it made it."""
+        """Aaronson-Gottesman update of every row at once, for each gate in
+        order. A non-Clifford gate raises ValueError and leaves the tableau as
+        the gates before it made it."""
         X, Z, r = self._x, self._z, self._r
         try:
             for g in gates:

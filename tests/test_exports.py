@@ -17,6 +17,6 @@ def test_star_import_gives_exactly_all():
 
 
 def test_removed_names_stay_removed():
-    for name in ("StateVector", "support", "LearnedAffine", "in_affine_span"):
+    for name in ("StateVector", "support", "LearnedAffine", "in_affine_span", "rank"):
         assert name not in borncraft.__all__
         assert not hasattr(borncraft, name)

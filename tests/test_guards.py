@@ -57,11 +57,6 @@ _GUARDS = [
     ("BitVec-drop-range", lambda: BitVec(2).drop(-1), "drop length out of range"),
     ("BitMatrix-negative-dims", lambda: BitMatrix(-1, 2, []), "dimensions must be nonnegative"),
     ("BitMatrix-row-count", lambda: BitMatrix(2, 2, [0]), "row count does not match data"),
-    ("from_rows-empty", lambda: BitMatrix.from_rows([]), "cols required"),
-    ("from_rows-mixed", lambda: BitMatrix.from_rows([BitVec(2), BitVec(3)]), "rows have mixed"),
-    ("from_cols-empty", lambda: BitMatrix.from_cols([]), "rows required"),
-    ("from_cols-mixed", lambda: BitMatrix.from_cols([BitVec(2), BitVec(3)]), "columns have mixed"),
-    ("mul_vec-shape", lambda: BitMatrix(2, 2, [0, 0]).mul_vec(BitVec(3)), "dimension mismatch"),
     ("max_independent_subset-mixed", lambda: max_independent_subset([BitVec(2), BitVec(3)]),
      "vectors have mixed lengths"),
     ("solve-shape", lambda: solve(BitMatrix(2, 2, [0, 0]), BitVec(3)), "dimension mismatch"),
@@ -107,7 +102,14 @@ _GUARDS = [
     ("recover_affine-empty", lambda: recover_affine([]), "need at least one sample"),
     ("sq_correlation_learner-k", lambda: _sq(0, 10), "k must be positive"),
     ("sq_correlation_learner-budget", lambda: _sq(1, -1), "budget must be nonnegative"),
+    # A float k or budget ended in a TypeError, and True ran as 1.
+    ("sq_correlation_learner-float-k", lambda: _sq(1.5, 3), "k and budget must be ints"),
+    ("sq_correlation_learner-bool-k", lambda: _sq(True, 3), "k and budget must be ints"),
+    ("sq_correlation_learner-float-budget", lambda: _sq(2, 1.5), "k and budget must be ints"),
+    ("sq_correlation_learner-bool-budget", lambda: _sq(2, True), "k and budget must be ints"),
     ("lpn_brute_force-k", lambda: lpn_brute_force([], 0), "k must be positive"),
+    ("lpn_brute_force-float-k", lambda: lpn_brute_force([], 1.5), "k must be an int"),
+    ("lpn_brute_force-bool-k", lambda: lpn_brute_force([], True), "k must be an int"),
     ("lpn_brute_force-sample-length", lambda: lpn_brute_force([(BitVec(3), 0)], 2),
      "sample length does not match k"),
     # elsewhere
@@ -122,7 +124,7 @@ _GUARDS = [
      "pad must be nonnegative"),
     ("StabTableau-bool-n", lambda: StabTableau(True), "qubit count must be an int"),
     ("StabTableau-float-n", lambda: StabTableau(2.0), "qubit count must be an int"),
-    ("StabTableau-apply-T", lambda: StabTableau(1).apply(Gate("T", (0,))),
+    ("StabTableau-apply-T", lambda: StabTableau(1).apply_all((Gate("T", (0,)),)),
      "non-Clifford gate T"),
     ("wilson_interval-trials", lambda: wilson_interval(0, 0), "trials must be positive"),
     ("wilson_interval-successes-above", lambda: wilson_interval(5, 3),

@@ -201,15 +201,15 @@ def test_registry_names():
 
 def test_recovery_trial_builds_no_basis_matrix(monkeypatch):
     # The trial works on packed columns only; the row-major basis matrix is
-    # built on demand, for serialization, by from_cols or the basis property,
-    # and both go through transpose.
-    from borncraft.gf2 import BitMatrix
+    # built on demand, by the basis property or for serialization, and both
+    # transpose the columns through _transpose.
+    from borncraft import dist, gf2
 
     def fail(*args, **kwargs):
         raise AssertionError("a basis matrix was built")
 
-    monkeypatch.setattr(BitMatrix, "from_cols", fail)
-    monkeypatch.setattr(BitMatrix, "transpose", fail)
+    monkeypatch.setattr(gf2, "_transpose", fail)
+    monkeypatch.setattr(dist, "_transpose", fail)
     for m, k in ((0, 0), (4, 6), (8, 8), (12, 20)):
         ok, _, queries = recovery_trial(16, m, k, trial_rng(0, m, k))
         assert queries == k + 1
