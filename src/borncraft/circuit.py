@@ -215,6 +215,8 @@ def route_nearest_neighbor(c: Circuit) -> Circuit:
 
 def random_circuit(rng, n: int, n_layers: int, allow_t: bool = False) -> Circuit:
     """Random nearest-neighbor circuit with at most n_layers layers."""
+    if type(n) is not int or type(n_layers) is not int:  # a bool is an int, not a size
+        raise ValueError("n and n_layers must be ints")
     if n < 1:
         raise ValueError("need at least one qubit")
     one_q = ["H", "S", "T"] if allow_t else ["H", "S"]

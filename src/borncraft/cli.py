@@ -28,8 +28,8 @@ MAX_INPUT_CHARS = 4 << 20
 
 # Most samples `simulate --samples` prints, checked before the circuit file
 # is read. The loop streams, so memory stays flat (85 MB at n = 4096) and
-# only time grows: 10^5 samples of a 32-layer random circuit take 33 s and
-# print 410 MB at n = 4096, the widest circuit, and 0.9 s at n = 128
+# only time grows: 10^5 samples of a 32-layer random circuit take 22-27 s and
+# print 410 MB at n = 4096, the widest circuit, and 0.8-1.0 s at n = 128
 # (Python 3.11, 2-vCPU VM).
 MAX_SAMPLES = 100_000
 

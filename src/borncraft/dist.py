@@ -46,6 +46,10 @@ class Dist(ABC):
     def sample(self, rng) -> BitVec:
         """One draw distributed per eval."""
 
+    def sample_bits(self, rng, k: int) -> list[int]:
+        """k draws as ints, consuming rng as k sample calls do."""
+        return [self.sample(rng).bits for _ in range(k)]
+
     @property
     @abstractmethod
     def support_size(self) -> int:
@@ -73,6 +77,9 @@ class AffineUniform(Dist):
 
     def sample(self, rng) -> BitVec:
         return self.subspace.sample(rng)
+
+    def sample_bits(self, rng, k: int) -> list[int]:
+        return self.subspace._draw(rng, k)
 
     @property
     def support_size(self) -> int:
@@ -464,6 +471,11 @@ class SampleOracle:
     def draw(self) -> BitVec:
         self.queries += 1
         return self.dist.sample(self.rng)
+
+    def draw_bits(self, k: int) -> list[int]:
+        """k draws as ints, counted and consuming rng as k draw calls do."""
+        self.queries += k
+        return self.dist.sample_bits(self.rng, k)
 
 
 class ParityCorrelation:

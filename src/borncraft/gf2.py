@@ -255,7 +255,7 @@ class AffineSubspace:
     Stored as packed columns, their pivot dict (built with the set) and a
     shift; the basis matrix is built on demand. Values are immutable after
     construction apart from the sampling tables, a pure function of the
-    columns filled on the first ``sample``, so they stay safe to share.
+    columns filled on the first draw, so they stay safe to share.
     """
 
     __slots__ = ("shift", "_cols", "_pivots", "_tables")
@@ -300,6 +300,8 @@ class AffineSubspace:
 
     @classmethod
     def full(cls, n: int) -> "AffineSubspace":
+        if type(n) is not int:  # a bool is an int, not a size
+            raise ValueError("n must be an int")
         return cls._span(n, [1 << i for i in range(n)], 0)
 
     @classmethod
@@ -341,10 +343,10 @@ class AffineSubspace:
             raise ValueError("dimension mismatch")
         return _reduce(self._pivots, x.bits ^ self.shift.bits) == 0
 
-    def sample(self, rng) -> BitVec:
-        """shift + basis.b for b = rng.getrandbits(dim), one call per draw."""
+    def _draw(self, rng, k: int) -> list[int]:
+        """k members as ints, each shift + basis.b for b = rng.getrandbits(dim):
+        one call per draw, and none when dim = 0."""
         cols = self._cols
-        b = rng.getrandbits(len(cols)) if cols else 0
         tables = self._tables
         if tables is None:
             # Method of Four Russians: table g holds the 16 XOR combinations
@@ -356,11 +358,23 @@ class AffineSubspace:
                     t += [x ^ c for x in t]
                 tables.append(t)
             self._tables = tables
-        acc = self.shift.bits
-        for t in tables:
-            acc ^= t[b & 15]
-            b >>= 4
-        return BitVec(self.shift.n, acc)
+        shift = self.shift.bits
+        if not cols:
+            return [shift] * k
+        getrandbits, dim = rng.getrandbits, len(cols)
+        out = []
+        for _ in range(k):
+            b = getrandbits(dim)
+            acc = shift
+            for t in tables:
+                acc ^= t[b & 15]
+                b >>= 4
+            out.append(acc)
+        return out
+
+    def sample(self, rng) -> BitVec:
+        """One uniform member, as _draw draws it."""
+        return BitVec(self.n, self._draw(rng, 1)[0])
 
     def elements(self) -> Iterator[BitVec]:
         """All 2^dim members, enumerated by Gray code."""

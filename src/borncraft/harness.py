@@ -30,7 +30,7 @@ from . import __version__
 from .circuit import T_NOISE_RATE, parity_circuit, random_circuit, Gate, Circuit
 from .dist import AffineUniform, NoisyParity, SampleOracle, StatOracle, _of_type, tv
 from .gf2 import AffineSubspace, BitVec
-from .learn import closure_learn, recover_affine, sq_correlation_learner
+from .learn import _recover, closure_learn, sq_correlation_learner
 from .statevector import MAX_UNITARY_QUBITS, _xor_table, opnorm_tv_check, sv_distribution
 
 RESULT_SCHEMA = "result_v1"
@@ -48,7 +48,7 @@ MAX_PARITY_TV_BITS = 6
 # sq-vs-sample: a trial keeps min(budget, 2^k) slots and queries; 1.5 s, 85 MB at both caps.
 MAX_SQ_BITS = 30
 MAX_SQ_BUDGET = 500_000
-# One README recovery-curve point (n = 16) takes 2.6-6.8 s at 10^5 trials.
+# One README recovery-curve point (n = 16) takes 2.7-8.3 s at 10^5 trials.
 MAX_TRIALS = 100_000
 # A point's predicted seconds at the spec's trials, from the cost models in
 # EXPERIMENTS: at most 16 s for each README recovery-curve point at MAX_TRIALS.
@@ -109,6 +109,8 @@ def trial_rng(master_seed: int, point_index: int, trial_index: int) -> random.Ra
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    if type(successes) is not int or type(trials) is not int:  # a bool is an int, not a count
+        raise ValueError("successes and trials must be ints")
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
@@ -159,8 +161,7 @@ def recovery_trial(n: int, m: int, k: int, rng) -> tuple[bool, float, int]:
     truth = AffineSubspace.random(rng, n, m)
     truth_dist = AffineUniform(truth)
     oracle = SampleOracle(truth_dist, rng)
-    samples = [oracle.draw() for _ in range(k + 1)]
-    learned = recover_affine(samples)
+    learned = _recover(n, oracle.draw_bits(k + 1))
     # The exact TV between uniform affine sets is 0 exactly when they are
     # equal, and at least 1/2 otherwise.
     dist_tv = tv(learned, truth_dist)
@@ -265,11 +266,11 @@ def _sq_vs_sample_point(spec: ExperimentSpec, point_index: int, p: dict) -> dict
 
 
 def _sq_vs_sample_seconds(p: dict, trials: int) -> float:
-    # closure: k + 1 + ceil(log2(1/delta)) draws; 39, 276 and 5,840 µs per trial at
-    # (k, delta) = (1, 1/16), (30, 1/16) and (30, 1e-300). sq: about 3 µs per query,
-    # and the search stops at the hidden parity, uniform among 2^k (with tau > 1/2,
-    # at the first parity that passes); 1,460, 80,900 and 1,280,000 µs per trial at
-    # (k, budget) = (10, 1000), (16, 100000) and (30, 500000).
+    # closure: k + 1 + ceil(log2(1/delta)) draws; 22-23, 105-108 and 1,680-1,750 µs
+    # per trial at (k, delta) = (1, 1/16), (30, 1/16) and (30, 1e-300). sq: about
+    # 3 µs per query, and the search stops at the hidden parity, uniform among 2^k
+    # (with tau > 1/2, at the first parity that passes); 1,460, 80,900 and 1,280,000
+    # µs per trial at (k, budget) = (10, 1000), (16, 100000) and (30, 500000).
     if p["learner"] == "closure":
         return trials * 1e-6 * (25 + (p["k"] + 2 - math.frexp(p["delta"])[1]) * (2 + p["k"] / 8))
     q = min(p["budget"], 2 if p["tau"] > 0.5 else 1 << p["k"])
@@ -357,10 +358,10 @@ Experiment = NamedTuple("Experiment", [("table", dict), ("points", Callable),
                                        ("evaluate", Callable), ("seconds", Callable)])
 
 EXPERIMENTS = {
-    # µs per trial at (n, m, k): (16, 4, 4) 26, (16, 12, 22) 65-69, (64, 8, 1000)
-    # 1,240-1,280, (256, 16, 4096) 6,430-6,460, (1024, 0, 4096) 3,280-3,340 and
-    # (1024, 1024, 4096) 310,000-327,000. The formula was fitted to slower code
-    # and over-predicts these.
+    # µs per trial, trial_rng included, at (n, m, k): (16, 4, 4) 24-27, (16, 12, 22)
+    # 53-56, (64, 8, 1000) 670-970, (256, 16, 4096) 4,290-4,440, (1024, 0, 4096)
+    # 770-830 and (1024, 1024, 4096) 325,000-362,000. The formula was fitted to
+    # slower code and over-predicts these.
     "recovery-curve": Experiment({
         "n": _Key(_int, 0, MAX_RECOVERY_BITS),
         "m": _Key(_ints, 0, MAX_RECOVERY_BITS),

@@ -15,6 +15,12 @@ from .gf2 import AffineSubspace, BitVec
 MAX_BRUTE_FORCE_BITS = 20
 
 
+def _recover(n: int, bits: Sequence[int]) -> AffineUniform:
+    """recover_affine on n-bit samples given as ints, at least one."""
+    origin = bits[0]
+    return AffineUniform(AffineSubspace._span(n, [x ^ origin for x in bits[1:]], origin))
+
+
 def recover_affine(samples: Sequence[BitVec]) -> AffineUniform:
     """Shift all samples by the first one and span the differences.
 
@@ -23,10 +29,10 @@ def recover_affine(samples: Sequence[BitVec]) -> AffineUniform:
     """
     if not samples:
         raise ValueError("need at least one sample")
-    n, origin = samples[0].n, samples[0].bits
+    n = samples[0].n
     if any(x.n != n for x in samples):
         raise ValueError("samples have mixed lengths")
-    return AffineUniform(AffineSubspace._span(n, [x.bits ^ origin for x in samples[1:]], origin))
+    return _recover(n, [x.bits for x in samples])
 
 
 def closure_learn(oracle: SampleOracle, n: int, delta: float) -> AffineUniform:
@@ -41,14 +47,9 @@ def closure_learn(oracle: SampleOracle, n: int, delta: float) -> AffineUniform:
         raise ValueError("n must be positive")
     if not 0 < delta < 1 or 1.0 / delta == math.inf:
         raise ValueError("delta must lie in (0, 1), with 1/delta finite")
-    k = n + 1 - math.frexp(delta)[1]
-    samples = []
-    for _ in range(k):
-        x = oracle.draw()
-        if x.n != n:
-            raise ValueError("oracle sample length does not match n")
-        samples.append(x)
-    return recover_affine(samples)
+    if oracle.dist.n != n:
+        raise ValueError("oracle sample length does not match n")
+    return _recover(n, oracle.draw_bits(n + 1 - math.frexp(delta)[1]))
 
 
 def sq_correlation_learner(oracle: StatOracle, k: int, budget: int, rng) -> BitVec | None:

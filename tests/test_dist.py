@@ -678,6 +678,23 @@ def test_sample_oracle_counts():
     assert oracle.queries == 25
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda rng: AffineUniform(AffineSubspace.random(rng, 9, 5)), id="affine"),
+    pytest.param(lambda rng: NoisyParity(BitVec.random(rng, 6), 0), id="parity-eta-0"),
+    pytest.param(lambda rng: NoisyParity(BitVec.random(rng, 6), Fraction(1, 4)),
+                 id="parity-eta-1/4"),
+    pytest.param(lambda rng: DenseDist(4, np.arange(16) / 120), id="dense"),
+])
+@pytest.mark.parametrize("k", [0, 1, 7, 50])
+def test_draw_bits_matches_k_draws(make, k):
+    d = make(random.Random(k))
+    batched, single = SampleOracle(d, random.Random(11)), SampleOracle(d, random.Random(11))
+    batched.queries = single.queries = 3
+    assert batched.draw_bits(k) == [single.draw().bits for _ in range(k)]
+    assert batched.queries == single.queries == 3 + k
+    assert batched.rng.getstate() == single.rng.getstate()
+
+
 def test_stat_oracle_constant_query():
     oracle = StatOracle(uniform(3), 0.1, "exact")
     assert oracle.query(lambda x: 1.0) == 1.0

@@ -685,6 +685,24 @@ def test_sample_matches_per_bit_reference_at_large_n(n, m):
         _check_sample(built, m, 40)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_draw_matches_k_sample_calls(data):
+    # dim 0-130 crosses every 4-column table boundary up to 33 tables.
+    n = data.draw(st.integers(0, 130), label="n")
+    dim = data.draw(st.integers(0, n), label="dim")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    k = data.draw(st.integers(0, 40), label="k")
+    fresh = AffineSubspace.random(random.Random(seed), n, dim)
+    built = AffineSubspace.random(random.Random(seed), n, dim)
+    built.sample(random.Random(0))
+    for sub in (fresh, built):
+        rng, twin = random.Random(seed + 1), random.Random(seed + 1)
+        got = sub._draw(rng, k)
+        assert got == [sub.sample(twin).bits for _ in range(k)]
+        assert rng.getstate() == twin.getstate()
+
+
 @pytest.mark.parametrize("path", _PATHS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())

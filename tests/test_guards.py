@@ -68,10 +68,14 @@ _GUARDS = [
      "n and m must be ints"),
     ("AffineSubspace-random-bool-n", lambda: AffineSubspace.random(random.Random(0), True, 0),
      "n and m must be ints"),
+    # A float n ended in a TypeError from range, and uniform(True) ran as n = 1.
+    ("AffineSubspace-full-float-n", lambda: AffineSubspace.full(2.5), "n must be an int"),
+    ("AffineSubspace-full-bool-n", lambda: AffineSubspace.full(True), "n must be an int"),
     ("contains-n", lambda: _flat(2).contains(BitVec(3)), "dimension mismatch"),
     ("intersection_dim-n", lambda: _flat(2).intersection_dim(_flat(3)), "dimension mismatch"),
     # dist
     ("NoisyParity-eta", lambda: NoisyParity(BitVec(1), 1), r"eta must lie in \[0, 1\)"),
+    ("uniform-bool-n", lambda: uniform(True), "n must be an int"),
     ("FunctionDist-base-width", lambda: FunctionDist([0, 0], uniform(21)),
      "truth tables supported up to 20 input bits"),
     ("FunctionDist-table-length", lambda: FunctionDist([0], uniform(1)),
@@ -118,6 +122,13 @@ _GUARDS = [
     ("opnorm_tv_check-cap", lambda: opnorm_tv_check(Circuit(11), Circuit(11)),
      "limited to 10 qubits"),
     ("random_circuit-n", lambda: random_circuit(random.Random(0), 0, 1), "at least one qubit"),
+    # A float n or layer count ended in a TypeError from range.
+    ("random_circuit-float-n", lambda: random_circuit(random.Random(0), 2.5, 1),
+     "n and n_layers must be ints"),
+    ("random_circuit-bool-n", lambda: random_circuit(random.Random(0), True, 1),
+     "n and n_layers must be ints"),
+    ("random_circuit-float-layers", lambda: random_circuit(random.Random(0), 3, 2.5),
+     "n and n_layers must be ints"),
     ("parse_circuit-negative-n", lambda: parse_circuit("qubits -1\n"),
      "line 1: negative qubit count"),
     ("parity_circuit-pad", lambda: parity_circuit(BitVec(1, 1), False, pad=-1),
@@ -131,6 +142,13 @@ _GUARDS = [
      r"successes must lie in 0\.\.trials"),
     ("wilson_interval-successes-below", lambda: wilson_interval(-1, 3),
      r"successes must lie in 0\.\.trials"),
+    # Each of these returned an interval.
+    ("wilson_interval-float-successes", lambda: wilson_interval(1.5, 3),
+     "successes and trials must be ints"),
+    ("wilson_interval-float-trials", lambda: wilson_interval(1, 3.0),
+     "successes and trials must be ints"),
+    ("wilson_interval-bool-successes", lambda: wilson_interval(True, 3),
+     "successes and trials must be ints"),
 ]
 
 

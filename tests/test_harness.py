@@ -215,6 +215,25 @@ def test_recovery_trial_builds_no_basis_matrix(monkeypatch):
         assert queries == k + 1
 
 
+def test_recovery_trial_builds_no_bit_vector_per_sample(monkeypatch):
+    # Samples go from the oracle to the learner as ints, so a trial builds
+    # as many BitVecs at k = 22 as at k = 4.
+    init = BitVec.__init__
+    built = [0]
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(BitVec, "__init__", counting_init)
+    counts = []
+    for k in (4, 22):
+        built[0] = 0
+        recovery_trial(16, 8, k, trial_rng(0, 8, k))
+        counts.append(built[0])
+    assert counts[0] == counts[1]
+
+
 def test_recovery_trial_never_checks_set_equality(monkeypatch):
     # Success is read from the exact TV, so the trial needs no same_set.
     def fail(*args, **kwargs):

@@ -114,6 +114,8 @@ def test_closure_learn_validation():
         closure_learn(oracle, 3, 1.0)
     with pytest.raises(ValueError, match="does not match n"):
         closure_learn(oracle, 4, 0.1)
+    # The length is read from the oracle's distribution, before any draw.
+    assert oracle.queries == 0
 
 
 def test_closure_learn_subnormal_delta_is_value_error():
