@@ -149,7 +149,7 @@ class FunctionDist(Dist):
             raise ValueError(f"truth tables supported up to {_MAX_TABLE_BITS} input bits")
         if len(table) != 1 << base.n:
             raise ValueError("truth table length must be 2^n")
-        if any(v not in (0, 1) for v in table):
+        if any(not isinstance(v, int) or v not in (0, 1) for v in table):  # 0.0 is in (0, 1)
             raise ValueError("truth table entries must be bits")
         self.table = tuple(table)
         self.base = base
@@ -222,6 +222,8 @@ class DenseDist(Dist):
     __slots__ = ("n", "probs", "_cum")
 
     def __init__(self, n: int, probs: np.ndarray):
+        if type(n) is not int:  # a bool is an int, not a size
+            raise ValueError("n must be an int")
         if not 0 <= n <= _MAX_TABLE_BITS:
             raise ValueError(f"dense tables supported up to {_MAX_TABLE_BITS} bits, got {n}")
         try:
@@ -302,6 +304,8 @@ def tv(p: Dist, q: Dist):
 
 def embed(d: Dist, n: int) -> Dist:
     """Pad to n bits with a point mass at zero on the trailing bits."""
+    if type(n) is not int:  # a bool is an int, not a size
+        raise ValueError("n must be an int")
     if n < d.n:
         raise ValueError("cannot embed into fewer bits")
     if n == d.n:
@@ -311,6 +315,8 @@ def embed(d: Dist, n: int) -> Dist:
 
 def marginalize(d: Dist, k: int) -> Dist:
     """Marginal of the first k bits; inverts embed on embedded distributions."""
+    if type(k) is not int:  # a bool is an int, not a size
+        raise ValueError("k must be an int")
     if not 0 <= k <= d.n:
         raise ValueError("marginal length out of range")
     if k == d.n:
@@ -474,6 +480,8 @@ class SampleOracle:
 
     def draw_bits(self, k: int) -> list[int]:
         """k draws as ints, counted and consuming rng as k draw calls do."""
+        if type(k) is not int or k < 0:  # a bool is an int, not a count
+            raise ValueError("k must be a nonnegative int")
         self.queries += k
         return self.dist.sample_bits(self.rng, k)
 

@@ -10,19 +10,6 @@ from .circuit import MAX_TABLEAU_QUBITS, Circuit
 from .gf2 import AffineSubspace, _build_pivots, _lsb, _solutions, _transpose
 
 
-def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
-    """Multiply two signed Pauli rows (Y encoded as x=z=1); the accumulated
-    i-power must come out even, which holds for any closed stabilizer group.
-
-    With P(x, z) = i^|x&z| X^x Z^z, moving Z^z1 past X^x2 costs (-1)^|z1&x2|,
-    so P1 P2 = i^e P(x1^x2, z1^z2) with e a sum of popcounts."""
-    phase = (2 * (r1 + r2 + (z1 & x2).bit_count()) + (x1 & z1).bit_count()
-             + (x2 & z2).bit_count() - ((x1 ^ x2) & (z1 ^ z2)).bit_count()) % 4
-    if phase & 1:
-        raise AssertionError("odd i-power in stabilizer product")
-    return x1 ^ x2, z1 ^ z2, phase >> 1
-
-
 class StabTableau:
     """The n stabilizer rows of the state, stored by qubit; row i starts as Z_i.
 
@@ -117,7 +104,7 @@ class StabTableau:
         to gf2's solution-set read-out, which gives the shift and the basis.
         """
         n = self.n
-        xs, zs = self.xs, self.zs
+        xs, zs, signs = self.xs, self.zs, self._r
         # Row i is xs[i] << n | 1 << i: bits 0..n-1 record which stabilizers
         # were multiplied into a row, so a pivot keyed at most n (top bit below
         # the X part) is a product whose X parts cancel.
@@ -125,12 +112,19 @@ class StabTableau:
         for key, sel in _build_pivots(xs[i] << n | 1 << i for i in range(n)).items():
             if key > n:
                 continue
-            x, z, r = 0, 0, 0
+            # With P(x, z) = i^|x&z| X^x Z^z, appending row j to i^e X^x Z^z moves
+            # Z^z past X^x_j: e gains |x_j&z_j| + 2|z&x_j| + 2 r_j, free of x. The
+            # X parts cancel, so x ends at 0 and the product is i^e Z^z.
+            z = e = 0
             while sel:
                 j = _lsb(sel)
                 sel &= sel - 1
-                x, z, r = _pauli_mul(x, z, r, xs[j], zs[j], (self._r >> j) & 1)
-            constraints.append(z | (r << n))
+                xj = xs[j]
+                e += (xj & zs[j]).bit_count() + 2 * ((z & xj).bit_count() + (signs >> j & 1))
+                z ^= zs[j]
+            if e & 1:
+                raise AssertionError("odd i-power in stabilizer product")
+            constraints.append(z | ((e >> 1) & 1) << n)
         support = _solutions(constraints, n)
         if support is None:
             raise AssertionError("inconsistent support constraints")

@@ -695,6 +695,14 @@ def test_draw_bits_matches_k_draws(make, k):
     assert batched.rng.getstate() == single.rng.getstate()
 
 
+def test_draw_bits_refusal_counts_no_query():
+    oracle = SampleOracle(uniform(3), random.Random(11))
+    state = oracle.rng.getstate()
+    with pytest.raises(ValueError, match="k must be a nonnegative int"):
+        oracle.draw_bits(-3)
+    assert oracle.queries == 0 and oracle.rng.getstate() == state
+
+
 def test_stat_oracle_constant_query():
     oracle = StatOracle(uniform(3), 0.1, "exact")
     assert oracle.query(lambda x: 1.0) == 1.0

@@ -16,6 +16,8 @@ from borncraft.dist import (
     SampleOracle,
     StatOracle,
     dist_from_json,
+    embed,
+    marginalize,
     uniform,
 )
 from borncraft.gf2 import AffineSubspace, BitMatrix, BitVec, max_independent_subset, solve
@@ -42,6 +44,10 @@ def _run(**kw):
 
 def _sq(k: int, budget: int):
     return sq_correlation_learner(StatOracle(uniform(2), 0.1), k, budget, random.Random(0))
+
+
+def _draw_bits(k):
+    return SampleOracle(uniform(3), random.Random(0)).draw_bits(k)
 
 
 def _closure(n):
@@ -82,8 +88,21 @@ _GUARDS = [
      "truth table length must be 2"),
     ("FunctionDist-table-bits", lambda: FunctionDist([0, 2], uniform(1)),
      "truth table entries must be bits"),
+    # Float entries constructed, then sample, support and tv raised TypeError.
+    ("FunctionDist-float-entries", lambda: FunctionDist([0.0, 1.0], uniform(1)),
+     "truth table entries must be bits"),
     ("Product-empty", lambda: Product([]), "at least one component"),
     ("DenseDist-shape", lambda: DenseDist(1, np.array([1.0])), "probability count must be 2"),
+    # A float size ended in a TypeError, and a bool ran as a size of 1.
+    ("DenseDist-float-n", lambda: DenseDist(2.5, [0.25] * 4), "n must be an int"),
+    ("DenseDist-bool-n", lambda: DenseDist(True, [0.5, 0.5]), "n must be an int"),
+    ("embed-float-n", lambda: embed(uniform(2), 2.5), "n must be an int"),
+    ("marginalize-float-k", lambda: marginalize(uniform(3), 1.5), "k must be an int"),
+    ("marginalize-bool-k", lambda: marginalize(uniform(3), True), "k must be an int"),
+    # A negative k left queries negative, 2.5 raised TypeError and True drew one sample.
+    ("SampleOracle-draw_bits-negative-k", lambda: _draw_bits(-3), "k must be a nonnegative int"),
+    ("SampleOracle-draw_bits-float-k", lambda: _draw_bits(2.5), "k must be a nonnegative int"),
+    ("SampleOracle-draw_bits-bool-k", lambda: _draw_bits(True), "k must be a nonnegative int"),
     ("ParityCorrelation-length", lambda: ParityCorrelation(BitVec(2))(BitVec(2)),
      r"input length must be len\(t\)\+1"),
     ("expectation-support-budget", lambda: StatOracle(uniform(23), 0.1).query(lambda x: 1),

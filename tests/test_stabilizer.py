@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from borncraft.circuit import Circuit, Gate, parity_circuit, random_circuit
-from borncraft.gf2 import AffineSubspace, BitMatrix, BitVec, nullspace, solve
-from borncraft.stabilizer import (
-    MAX_TABLEAU_QUBITS,
-    StabTableau,
-    _pauli_mul,
-    simulate_clifford,
+from borncraft.gf2 import (
+    AffineSubspace,
+    BitMatrix,
+    BitVec,
+    _build_pivots,
+    _lsb,
+    _solutions,
+    nullspace,
+    solve,
 )
+from borncraft.stabilizer import MAX_TABLEAU_QUBITS, StabTableau, simulate_clifford
 from borncraft.statevector import sv_distribution
 
 # 99.9% chi-square quantiles by degrees of freedom, for uniformity checks.
@@ -35,6 +39,20 @@ def row_to_matrix(x, z, r, n):
         single = _I if not (xb or zb) else (_X if not zb else (_Y if xb else _Z))
         out = np.kron(out, single)
     return (-1) ** r * out
+
+
+def _pauli_mul(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
+    """Multiply two signed Pauli rows (Y encoded as x=z=1), a reference that
+    shares no code with support(); the accumulated i-power must come out even,
+    which holds for any closed stabilizer group.
+
+    With P(x, z) = i^|x&z| X^x Z^z, moving Z^z1 past X^x2 costs (-1)^|z1&x2|,
+    so P1 P2 = i^e P(x1^x2, z1^z2) with e a sum of popcounts."""
+    phase = (2 * (r1 + r2 + (z1 & x2).bit_count()) + (x1 & z1).bit_count()
+             + (x2 & z2).bit_count() - ((x1 ^ x2) & (z1 ^ z2)).bit_count()) % 4
+    if phase & 1:
+        raise AssertionError("odd i-power in stabilizer product")
+    return x1 ^ x2, z1 ^ z2, phase >> 1
 
 
 def support_probs(tab):
@@ -203,6 +221,13 @@ def test_validate_rejects_dependent_rows():
     assert (tab.xs, tab.zs) == ((0, 0), (1, 1))
     with pytest.raises(AssertionError, match="dependent"):
         tab.validate()
+
+
+def test_support_rejects_odd_i_power():
+    tab = _corrupted([1, 1], [0, 1])  # X_0 and Y_0, whose product is iZ_0
+    assert (tab._x, tab._z) == ([0b11, 0], [0b10, 0])
+    with pytest.raises(AssertionError, match="odd i-power in stabilizer product"):
+        tab.support()
 
 
 def test_sampling_zero_state():
@@ -414,3 +439,44 @@ def test_packed_tableau_and_support_match_row_reference(n):
 def test_tableau_qubit_cap():
     with pytest.raises(ValueError, match="limited to"):
         StabTableau(MAX_TABLEAU_QUBITS + 1)
+
+
+def _multiply_per_row_support(tab):
+    """A frozen copy of support() that multiplies each selected row in with
+    _pauli_mul, X part and all, around the same elimination and read-out."""
+    n, xs, zs, rs = tab.n, tab.xs, tab.zs, tab.rs
+    constraints = []
+    for key, sel in _build_pivots(xs[i] << n | 1 << i for i in range(n)).items():
+        if key > n:
+            continue
+        x, z, r = 0, 0, 0
+        while sel:
+            j = _lsb(sel)
+            sel &= sel - 1
+            x, z, r = _pauli_mul(x, z, r, xs[j], zs[j], rs[j])
+        constraints.append(z | (r << n))
+    return _solutions(constraints, n)
+
+
+def _s_heavy_circuit(rng, n, count):
+    """count random gates weighted to S, so that many rows hold Y."""
+    kinds = ("H", "S", "S", "S", "CNOT", "SWAP") if n > 1 else ("H", "S", "S", "S")
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        qubits = rng.sample(range(n), 2) if kind in ("CNOT", "SWAP") else [rng.randrange(n)]
+        gates.append(Gate(kind, tuple(qubits)))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_support_matches_multiply_per_row_reference(data):
+    n = data.draw(st.integers(1, 130), label="n")
+    count = data.draw(st.sampled_from([0, 6 * n]) | st.integers(0, 6 * n), label="gates")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    tab = simulate_clifford(_s_heavy_circuit(random.Random(seed), n, count))
+    sub, ref = tab.support(), _multiply_per_row_support(tab)
+    assert sub._cols == ref._cols
+    assert sub.shift.bits == ref.shift.bits
+    assert sub._pivots == ref._pivots
